@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local CI: configure, build and test the `default` preset, then the
-# schedule-exploration suite (`sched` test preset, same build tree), then the
-# `asan-ubsan` preset. Stops at the first red step.
+# labelled suites and CLI end-to-end checks on the same build tree, then
+# perfbench's determinism test, then the `asan-ubsan` preset. Stops at the
+# first red step.
 #
 # Usage: scripts/ci.sh [-j N]
 #   -j N   parallelism for builds and ctest (default: nproc)
@@ -228,6 +229,15 @@ print("icf: %d/%d sites proven, %d covered function(s), "
       "0 uncovered-edge deopts in certified code"
       % (icf["sites_proven"], icf["sites_total"], len(covered)))
 EOF
+
+step "perfbench: build + determinism of counts and normalized_runtime"
+# perfbench/ is a CMake package of its own over src/, and nothing else builds
+# it. Each workload must report the same work counts and the same
+# normalized_runtime on two passes at one seed.
+cmake -S perfbench -B build/perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build build/perfbench --target perfbench_determinism_test -j "$jobs"
+build/perfbench/perfbench_determinism_test spec_static phoenix_t2 \
+  indirect_sound spec_additive
 
 step "configure+build: asan-ubsan"
 cmake --preset asan-ubsan

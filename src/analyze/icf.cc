@@ -6,6 +6,7 @@
 #include <set>
 
 #include "src/check/derive.h"
+#include "src/ir/semantics.h"
 #include "src/obs/trace.h"
 #include "src/support/strings.h"
 
@@ -98,33 +99,6 @@ bool ReadRoValue(const binary::Image& image, uint64_t addr, int size,
   return true;
 }
 
-uint64_t ApplyBinop(Op op, uint64_t a, uint64_t b) {
-  switch (op) {
-    case Op::kAdd:
-      return a + b;
-    case Op::kSub:
-      return a - b;
-    case Op::kMul:
-      return a * b;
-    case Op::kAnd:
-      return a & b;
-    case Op::kOr:
-      return a | b;
-    case Op::kXor:
-      return a ^ b;
-    case Op::kShl:
-      return a << (b & 63);
-    case Op::kLShr:
-      return a >> (b & 63);
-    case Op::kAShr:
-      return static_cast<uint64_t>(static_cast<int64_t>(a) >> (b & 63));
-    case Op::kURem:
-      return b == 0 ? 0 : a % b;
-    default:
-      return 0;
-  }
-}
-
 // Forward dataflow computing a Fact for every instruction of one function.
 // State flows through the virtual GPR globals (like check::RegionDeriver)
 // and — when the frame is proven non-escaping — through resolved stack spill
@@ -200,10 +174,11 @@ class TargetSolver {
       Fact r;
       for (uint64_t x : a.values) {
         for (uint64_t y : b.values) {
-          if (op == Op::kURem && y == 0) {
-            return Fact::Top();
+          ir::BinaryResult v = ir::EvalBinary(op, x, y);
+          if (!v.ok()) {
+            return Fact::Top();  // a faulting pair has no value to bound
           }
-          r.values.insert(ApplyBinop(op, x, y));
+          r.values.insert(v.value);
           if (r.values.size() > cap_) {
             return Fact::Top();
           }
@@ -391,14 +366,8 @@ class TargetSolver {
             break;
           }
           Fact r;
-          int w = inst->width;
           for (uint64_t v : a.values) {
-            uint64_t e = w >= 64 || w <= 0
-                             ? v
-                             : static_cast<uint64_t>(
-                                   static_cast<int64_t>(v << (64 - w)) >>
-                                   (64 - w));
-            r.values.insert(e);
+            r.values.insert(ir::SignExtend(v, inst->width));
           }
           set_value(inst.get(), r);
           break;

@@ -135,35 +135,92 @@ json::Value ControlFlowGraph::ToJson() const {
   return json::Value(std::move(root));
 }
 
+namespace {
+
+// Typed readers for FromJson: a field that is absent or of the wrong type
+// is an InvalidArgument naming it (`path` is its parent, e.g. "blocks[3].").
+Status FieldError(const std::string& path, const char* key, const char* kind) {
+  return Status::InvalidArgument(StrCat("cfg json: \"", path, key,
+                                        "\" is missing or not ", kind));
+}
+
+Status ReadField(const json::Value& obj, const std::string& path,
+                 const char* key, const json::Array** out) {
+  const json::Value* v = obj.Find(key);
+  if (v == nullptr || !v->is_array()) {
+    return FieldError(path, key, "an array");
+  }
+  *out = &v->as_array();
+  return Status::Ok();
+}
+
+Status ReadField(const json::Value& obj, const std::string& path,
+                 const char* key, uint64_t* out) {
+  const json::Value* v = obj.Find(key);
+  if (v == nullptr || !v->is_int()) {
+    return FieldError(path, key, "an integer");
+  }
+  *out = v->as_uint();
+  return Status::Ok();
+}
+
+Status ReadField(const json::Value& obj, const std::string& path,
+                 const char* key, std::string* out) {
+  const json::Value* v = obj.Find(key);
+  if (v == nullptr || !v->is_string()) {
+    return FieldError(path, key, "a string");
+  }
+  *out = v->as_string();
+  return Status::Ok();
+}
+
+Status ReadField(const json::Value& obj, const std::string& path,
+                 const char* key, std::set<uint64_t>* out) {
+  const json::Array* arr = nullptr;
+  POLY_RETURN_IF_ERROR(ReadField(obj, path, key, &arr));
+  for (const json::Value& e : *arr) {
+    if (!e.is_int()) {
+      return FieldError(path, key, "an array of integers");
+    }
+    out->insert(e.as_uint());
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 Expected<ControlFlowGraph> ControlFlowGraph::FromJson(const json::Value& v) {
   ControlFlowGraph graph;
-  const json::Value* blocks_v = v.Find("blocks");
-  const json::Value* fns_v = v.Find("functions");
-  if (blocks_v == nullptr || fns_v == nullptr) {
-    return Status::InvalidArgument("cfg json: missing blocks/functions");
-  }
-  for (const json::Value& bv : blocks_v->as_array()) {
+  const json::Array* blocks = nullptr;
+  const json::Array* fns = nullptr;
+  POLY_RETURN_IF_ERROR(ReadField(v, "", "blocks", &blocks));
+  POLY_RETURN_IF_ERROR(ReadField(v, "", "functions", &fns));
+  for (size_t i = 0; i < blocks->size(); ++i) {
+    const json::Value& bv = (*blocks)[i];
+    const std::string path = StrCat("blocks[", i, "].");
     BlockInfo b;
-    b.start = bv.Find("start")->as_uint();
-    b.end = bv.Find("end")->as_uint();
-    POLY_ASSIGN_OR_RETURN(b.term,
-                          TermKindFromName(bv.Find("term")->as_string()));
-    b.term_address = bv.Find("term_address")->as_uint();
-    b.direct_target = bv.Find("direct_target")->as_uint();
-    b.fallthrough = bv.Find("fallthrough")->as_uint();
-    b.external_slot = bv.Find("external_slot")->as_uint();
-    for (const json::Value& t : bv.Find("indirect_targets")->as_array()) {
-      b.indirect_targets.insert(t.as_uint());
-    }
+    std::string term;
+    POLY_RETURN_IF_ERROR(ReadField(bv, path, "start", &b.start));
+    POLY_RETURN_IF_ERROR(ReadField(bv, path, "end", &b.end));
+    POLY_RETURN_IF_ERROR(ReadField(bv, path, "term", &term));
+    POLY_ASSIGN_OR_RETURN(b.term, TermKindFromName(term));
+    POLY_RETURN_IF_ERROR(ReadField(bv, path, "term_address", &b.term_address));
+    POLY_RETURN_IF_ERROR(
+        ReadField(bv, path, "direct_target", &b.direct_target));
+    POLY_RETURN_IF_ERROR(ReadField(bv, path, "fallthrough", &b.fallthrough));
+    POLY_RETURN_IF_ERROR(
+        ReadField(bv, path, "external_slot", &b.external_slot));
+    POLY_RETURN_IF_ERROR(
+        ReadField(bv, path, "indirect_targets", &b.indirect_targets));
     graph.blocks[b.start] = std::move(b);
   }
-  for (const json::Value& fv : fns_v->as_array()) {
+  for (size_t i = 0; i < fns->size(); ++i) {
+    const json::Value& fv = (*fns)[i];
+    const std::string path = StrCat("functions[", i, "].");
     FunctionInfo fn;
-    fn.entry = fv.Find("entry")->as_uint();
-    fn.name = fv.Find("name")->as_string();
-    for (const json::Value& s : fv.Find("blocks")->as_array()) {
-      fn.block_starts.insert(s.as_uint());
-    }
+    POLY_RETURN_IF_ERROR(ReadField(fv, path, "entry", &fn.entry));
+    POLY_RETURN_IF_ERROR(ReadField(fv, path, "name", &fn.name));
+    POLY_RETURN_IF_ERROR(ReadField(fv, path, "blocks", &fn.block_starts));
     graph.functions[fn.entry] = std::move(fn);
   }
   return graph;

@@ -13,33 +13,6 @@ namespace polynima::check {
 
 namespace {
 
-struct Observation {
-  bool ok = false;
-  int64_t exit_code = 0;
-  std::string fault_message;
-  std::string output;
-
-  bool operator==(const Observation& other) const {
-    return ok == other.ok && exit_code == other.exit_code &&
-           output == other.output;
-  }
-};
-
-Observation RunOnce(const lift::LiftedProgram& program,
-                    const binary::Image& image,
-                    const std::vector<std::vector<uint8_t>>& inputs,
-                    uint64_t seed, uint64_t skew, uint64_t max_steps) {
-  vm::ExternalLibrary library;
-  exec::ExecOptions options;
-  options.seed = seed;
-  options.schedule_skew = skew;
-  options.max_steps = max_steps;
-  exec::Engine engine(program, image, &library, options);
-  engine.SetInputs(inputs);
-  exec::ExecResult r = engine.Run();
-  return {r.ok, r.exit_code, r.fault_message, r.output};
-}
-
 sched::Outcome RunControlledOnce(const lift::LiftedProgram& program,
                                  const binary::Image& image,
                                  const std::vector<std::vector<uint8_t>>& inputs,
@@ -113,73 +86,44 @@ Expected<DifferentialResult> RunScheduleDifferential(
   if (sets.empty()) {
     sets.push_back({});
   }
-  if (options.use_controlled) {
-    for (size_t set_index = 0; set_index < sets.size(); ++set_index) {
-      const auto& inputs = sets[set_index];
-      sched::OutcomeSet ref_set =
-          EnumerateSide(reference, image, inputs, options);
-      sched::OutcomeSet opt_set =
-          EnumerateSide(optimized, image, inputs, options);
-      result.runs += options.schedules;
+  for (size_t set_index = 0; set_index < sets.size(); ++set_index) {
+    const auto& inputs = sets[set_index];
+    sched::OutcomeSet ref_set =
+        EnumerateSide(reference, image, inputs, options);
+    sched::OutcomeSet opt_set =
+        EnumerateSide(optimized, image, inputs, options);
+    result.runs += options.schedules;
 
-      // Both directions: an optimized-only outcome is new behavior, a
-      // reference-only outcome is behavior the optimized build lost.
-      auto report_divergence = [&](const std::string& key, bool lost) {
-        const lift::LiftedProgram& side = lost ? reference : optimized;
-        const sched::OutcomeSet& side_set = lost ? ref_set : opt_set;
-        sched::Schedule witness = side_set.witnesses.at(key);
-        sched::Schedule shrunk = sched::Shrink(
-            witness, [&](const sched::Schedule& candidate) {
-              sched::ReplayScheduler replay(candidate);
-              return RunControlledOnce(side, image, inputs, candidate.seed,
-                                       options.max_steps, &replay)
-                         .Key() == key;
-            });
-        ++result.divergences;
-        result.reports.push_back(StrCat(
-            "input set ", set_index, ": optimized build ",
-            lost ? "LOST" : "introduced NEW", " outcome [", key,
-            "] (reference ", ref_set.outcomes.size(), " outcome(s), optimized ",
-            opt_set.outcomes.size(), " outcome(s) across ", options.schedules,
-            " schedules/side); repro on ", lost ? "reference" : "optimized",
-            " side: ", shrunk.Serialize()));
-      };
-      for (const auto& [key, outcome] : opt_set.outcomes) {
-        if (ref_set.outcomes.count(key) == 0) {
-          report_divergence(key, /*lost=*/false);
-        }
-      }
-      for (const auto& [key, outcome] : ref_set.outcomes) {
-        if (opt_set.outcomes.count(key) == 0) {
-          report_divergence(key, /*lost=*/true);
-        }
+    // Both directions: an optimized-only outcome is new behavior, a
+    // reference-only outcome is behavior the optimized build lost.
+    auto report_divergence = [&](const std::string& key, bool lost) {
+      const lift::LiftedProgram& side = lost ? reference : optimized;
+      const sched::OutcomeSet& side_set = lost ? ref_set : opt_set;
+      sched::Schedule witness = side_set.witnesses.at(key);
+      sched::Schedule shrunk = sched::Shrink(
+          witness, [&](const sched::Schedule& candidate) {
+            sched::ReplayScheduler replay(candidate);
+            return RunControlledOnce(side, image, inputs, candidate.seed,
+                                     options.max_steps, &replay)
+                       .Key() == key;
+          });
+      ++result.divergences;
+      result.reports.push_back(StrCat(
+          "input set ", set_index, ": optimized build ",
+          lost ? "LOST" : "introduced NEW", " outcome [", key,
+          "] (reference ", ref_set.outcomes.size(), " outcome(s), optimized ",
+          opt_set.outcomes.size(), " outcome(s) across ", options.schedules,
+          " schedules/side); repro on ", lost ? "reference" : "optimized",
+          " side: ", shrunk.Serialize()));
+    };
+    for (const auto& [key, outcome] : opt_set.outcomes) {
+      if (ref_set.outcomes.count(key) == 0) {
+        report_divergence(key, /*lost=*/false);
       }
     }
-    return result;
-  }
-  for (size_t set_index = 0; set_index < sets.size(); ++set_index) {
-    for (int s = 0; s < options.schedules; ++s) {
-      uint64_t seed = options.base_seed + static_cast<uint64_t>(s) * 0x9e3779b9ull;
-      // Schedule 0 is the engine's deterministic min-clock order; later
-      // schedules open the perturbation window.
-      uint64_t skew = s == 0 ? 0 : options.schedule_skew;
-      Observation ref = RunOnce(reference, image, sets[set_index], seed, skew,
-                                options.max_steps);
-      Observation opt = RunOnce(optimized, image, sets[set_index], seed, skew,
-                                options.max_steps);
-      ++result.runs;
-      if (!(ref == opt)) {
-        ++result.divergences;
-        result.reports.push_back(StrCat(
-            "input set ", set_index, ", schedule ", s, " (seed ", seed,
-            ", skew ", skew, "): reference {ok=", ref.ok ? 1 : 0,
-            " exit=", ref.exit_code, " out=\"", ref.output,
-            "\"} vs optimized {ok=", opt.ok ? 1 : 0, " exit=", opt.exit_code,
-            " out=\"", opt.output, "\"}",
-            !ref.ok || !opt.ok
-                ? StrCat("; faults: ref=\"", ref.fault_message, "\" opt=\"",
-                         opt.fault_message, "\"")
-                : ""));
+    for (const auto& [key, outcome] : ref_set.outcomes) {
+      if (opt_set.outcomes.count(key) == 0) {
+        report_divergence(key, /*lost=*/true);
       }
     }
   }

@@ -5,15 +5,13 @@
 // is behaviour-preserving only if no schedule can tell the two modules
 // apart; a divergence is a concrete witness of an unsound elision.
 //
-// By default the schedules come from the controlled scheduler (src/sched):
+// The schedules come from the controlled scheduler (src/sched):
 // schedule 0 is the deterministic all-default order and later schedules are
 // seeded PCT searches, each recorded so every divergence report carries a
 // shrunk `polysched/v1` repro string that replays bit-identically. The
 // comparison is between the *sets* of outcomes each side can exhibit (in
 // both directions), so benign races that merely reorder legal outcomes
-// across the two builds do not raise false alarms. Setting
-// `use_controlled = false` falls back to the legacy ExecOptions::
-// schedule_skew perturbation with pairwise same-seed comparison.
+// across the two builds do not raise false alarms.
 #ifndef POLYNIMA_CHECK_DIFFERENTIAL_H_
 #define POLYNIMA_CHECK_DIFFERENTIAL_H_
 
@@ -28,21 +26,15 @@
 namespace polynima::check {
 
 struct DifferentialOptions {
-  // Number of perturbed schedules per input set (seed varies per schedule).
+  // Number of controlled schedules per side and input set: schedule 0 is
+  // the default order, later ones are PCT searches seeded from base_seed.
   int schedules = 4;
   uint64_t base_seed = 1;
-  // Deterministic controlled scheduling (PCT + record/replay/shrink). When
-  // false, uses the legacy min-clock skew perturbation below.
-  bool use_controlled = true;
   // PCT shape for the controlled schedules (see sched::PctOptions).
   // pct_length caps the change-point range; the actual range is calibrated
   // to the consultation count of each side's default-schedule run.
   int pct_depth = 3;
   uint64_t pct_length = 4096;
-  // Legacy only: scheduler perturbation window in simulated cycles (0 = the
-  // engine's deterministic min-clock order; larger values admit more
-  // interleavings).
-  uint64_t schedule_skew = 16;
   uint64_t max_steps = 4'000'000'000ull;
 };
 

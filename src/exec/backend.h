@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "src/ir/ir.h"
@@ -77,11 +76,9 @@ enum class StepMode : uint8_t {
 struct FuncInfo {
   ir::Function* fn = nullptr;
   int num_slots = 0;
-  // Instructions whose results feed only memory-operand addresses: a native
-  // backend folds base+index*scale+disp into the addressing mode, so they
-  // cost nothing.
-  std::set<const ir::Instruction*> fold;
-  // Dense by-id view of `fold` for the per-instruction cost check.
+  // 1 at the id of each instruction whose result feeds only memory-operand
+  // addresses: a native backend folds base+index*scale+disp into the
+  // addressing mode, so it costs nothing.
   std::vector<uint8_t> fold_by_id;
   // Block entries + calls observed while interpreting — the hot-function
   // selector (mirrors the obs::GuestProfile entry counts when a profile

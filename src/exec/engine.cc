@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "src/exec/exec_util.h"
 #include "src/exec/interp.h"
 #include "src/exec/tier1.h"
 #include "src/exec/tier2.h"
@@ -31,58 +30,45 @@ constexpr uint64_t kThreadStackSize = 1 << 20;
 
 // Candidates: add/sub/shl-by-small-constant. Iteratively remove any whose
 // user is not a memory-address position or another surviving candidate.
+// Fold members are all value-producing, so their ids are in [0, num_slots).
 void ComputeFold(FuncInfo* info) {
-  std::set<const Instruction*>& fold = info->fold;
+  std::vector<uint8_t>& fold = info->fold_by_id;
+  fold.assign(static_cast<size_t>(info->num_slots), 0);
+  auto folded = [&](const Instruction* inst) {
+    return inst->id >= 0 && fold[static_cast<size_t>(inst->id)] != 0;
+  };
+  std::vector<const Instruction*> candidates;
   for (const auto& block : info->fn->blocks()) {
     for (const auto& inst : block->insts()) {
-      if (inst->users().empty()) {
-        continue;
-      }
-      switch (inst->op()) {
-        case Op::kAdd:
-        case Op::kSub:
-          fold.insert(inst.get());
-          break;
-        case Op::kShl:
-          if (inst->operand(1)->is_const() &&
-              static_cast<const ir::Constant*>(inst->operand(1))->value() <=
-                  3) {
-            fold.insert(inst.get());
-          }
-          break;
-        default:
-          break;
+      bool candidate =
+          inst->op() == Op::kAdd || inst->op() == Op::kSub ||
+          (inst->op() == Op::kShl && inst->operand(1)->is_const() &&
+           static_cast<const ir::Constant*>(inst->operand(1))->value() <= 3);
+      if (candidate && !inst->users().empty()) {
+        fold[static_cast<size_t>(inst->id)] = 1;
+        candidates.push_back(inst.get());
       }
     }
   }
   bool changed = true;
   while (changed) {
     changed = false;
-    for (auto it = fold.begin(); it != fold.end();) {
-      bool ok = true;
-      for (const Instruction* user : (*it)->users()) {
+    for (const Instruction* inst : candidates) {
+      if (!folded(inst)) {
+        continue;
+      }
+      for (const Instruction* user : inst->users()) {
         bool address_use =
-            (user->op() == Op::kLoad && user->operand(0) == *it) ||
-            (user->op() == Op::kStore && user->operand(0) == *it) ||
-            fold.count(user) != 0;
+            ((user->op() == Op::kLoad || user->op() == Op::kStore) &&
+             user->operand(0) == inst) ||
+            folded(user);
         if (!address_use) {
-          ok = false;
+          fold[static_cast<size_t>(inst->id)] = 0;
+          changed = true;
           break;
         }
       }
-      if (!ok) {
-        it = fold.erase(it);
-        changed = true;
-      } else {
-        ++it;
-      }
     }
-  }
-  // Dense by-id mirror for the per-instruction hot path. Fold members are
-  // all value-producing, so their ids are in [0, num_slots).
-  info->fold_by_id.assign(static_cast<size_t>(info->num_slots), 0);
-  for (const Instruction* inst : fold) {
-    info->fold_by_id[static_cast<size_t>(inst->id)] = 1;
   }
 }
 
@@ -139,11 +125,9 @@ Engine::Engine(const lift::LiftedProgram& program, const binary::Image& image,
 
   interp_ = std::make_unique<InterpreterBackend>(*this);
   tier1_ = std::make_unique<Tier1Backend>(*this);
-  // record_accesses keys its output by IR instruction identity, and
-  // schedule_skew draws scheduler perturbation from the shared rng stream
-  // mid-run — both force pure tier-0 execution.
-  tier1_enabled_ = options_.tier >= 1 && !options_.record_accesses &&
-                   options_.schedule_skew == 0;
+  // record_accesses keys its output by IR instruction identity, which
+  // forces pure tier-0 execution.
+  tier1_enabled_ = options_.tier >= 1 && !options_.record_accesses;
   tier_threshold_ = options_.tier_threshold;
   // Tier 2 re-emits tier-1 streams as native code, so it inherits tier 1's
   // gating and additionally requires executable mappings on this host.
@@ -523,19 +507,6 @@ void Engine::RunMinClockLoop() {
     if (best == nullptr) {
       break;
     }
-    if (options_.schedule_skew > 0) {
-      // Differential-check perturbation: pick among all runnable threads
-      // within the skew window of the minimum clock (seeded, reproducible).
-      std::vector<Thread*> near;
-      for (auto& t : threads_) {
-        if (!t->finished && t->clock <= best->clock + options_.schedule_skew) {
-          near.push_back(t.get());
-        }
-      }
-      if (near.size() > 1) {
-        best = near[rng_.NextBelow(near.size())];
-      }
-    }
     current_ = best->id;
     // With several live threads tier-1 batches must stop before visible
     // operations so those interleave at the same clocks as tier 0; a sole
@@ -769,8 +740,6 @@ uint64_t Engine::StateDigest() {
 
 ExecResult Engine::Run() {
   POLY_CHECK(threads_.empty()) << "Run() may only be called once";
-  POLY_CHECK(options_.scheduler == nullptr || options_.schedule_skew == 0)
-      << "controlled scheduling and schedule_skew are mutually exclusive";
   CreateThread(program_.entry, 0, 0, kProgramExitMagic);
 
   obs::Span span(options_.obs.trace, "exec", "run");

@@ -56,19 +56,13 @@ struct ExecOptions {
   uint64_t seed = 1;
   bool cost_jitter = true;
   uint64_t max_steps = 4'000'000'000ull;
-  // Scheduler perturbation window (simulated cycles) for the TSO
-  // differential check: 0 keeps the deterministic min-clock order; a
-  // positive value makes the scheduler pick (seeded-)randomly among all
-  // runnable threads within `schedule_skew` cycles of the minimum clock,
-  // admitting alternative interleavings while staying reproducible.
-  uint64_t schedule_skew = 0;
   // Controlled scheduling (src/sched): when set, the min-clock scheduler is
   // replaced by an explicit decision loop — the current thread runs through
   // thread-private operations, and every guest-visible preemption point
   // (shared load/store, atomic, fence, external call, dispatcher boundary)
   // consults the Scheduler. Runs become a pure function of (seed, decision
   // log), which is what record/replay, PCT search and schedule shrinking
-  // build on. Mutually exclusive with schedule_skew. Not owned.
+  // build on. Not owned.
   sched::Scheduler* scheduler = nullptr;
   // Highest execution tier: 0 = interpret everything, 1 = translate hot
   // functions to superinstruction bytecode (DESIGN.md §4f), 2 = additionally

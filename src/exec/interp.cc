@@ -8,8 +8,8 @@
 #include "src/exec/interp.h"
 
 #include "src/exec/engine.h"
-#include "src/exec/exec_util.h"
 #include "src/exec/tier1.h"
+#include "src/ir/semantics.h"
 #include "src/support/check.h"
 #include "src/support/strings.h"
 
@@ -18,7 +18,32 @@ namespace polynima::exec {
 using ir::BasicBlock;
 using ir::Instruction;
 using ir::Op;
-using ir::RmwOp;
+
+namespace {
+
+// Two independent 32-bit lanes of a packed SSE op (paddd/psubd/pmulld).
+uint64_t PackedLanes32(uint64_t a, uint64_t b, char op) {
+  uint32_t a0 = static_cast<uint32_t>(a), a1 = static_cast<uint32_t>(a >> 32);
+  uint32_t b0 = static_cast<uint32_t>(b), b1 = static_cast<uint32_t>(b >> 32);
+  uint32_t r0, r1;
+  switch (op) {
+    case '+':
+      r0 = a0 + b0;
+      r1 = a1 + b1;
+      break;
+    case '-':
+      r0 = a0 - b0;
+      r1 = a1 - b1;
+      break;
+    default:
+      r0 = a0 * b0;
+      r1 = a1 * b1;
+      break;
+  }
+  return static_cast<uint64_t>(r0) | (static_cast<uint64_t>(r1) << 32);
+}
+
+}  // namespace
 
 bool InterpreterBackend::Step(Thread& t, StepMode /*mode*/) {
   return e_.StepInstruction(t);
@@ -65,78 +90,21 @@ bool Engine::StepInstructionImpl(Thread& t) {
     case Op::kShl:
     case Op::kLShr:
     case Op::kAShr: {
-      uint64_t a = Eval(f, inst.operand(0));
-      uint64_t b = Eval(f, inst.operand(1));
-      uint64_t r = 0;
-      switch (inst.op()) {
-        case Op::kAdd:
-          r = a + b;
-          break;
-        case Op::kSub:
-          r = a - b;
-          break;
-        case Op::kMul:
-          r = a * b;
-          cost += 2;
-          break;
-        case Op::kSDiv:
-        case Op::kSRem: {
-          if (b == 0) {
-            Fault("division by zero in lifted code");
-            return false;
-          }
-          int64_t sa = static_cast<int64_t>(a);
-          int64_t sb = static_cast<int64_t>(b);
-          if (sa == INT64_MIN && sb == -1) {
-            Fault("division overflow in lifted code");
-            return false;
-          }
-          r = static_cast<uint64_t>(inst.op() == Op::kSDiv ? sa / sb
-                                                           : sa % sb);
-          cost += 20;
-          break;
-        }
-        case Op::kUDiv:
-        case Op::kURem:
-          if (b == 0) {
-            Fault("division by zero in lifted code");
-            return false;
-          }
-          r = inst.op() == Op::kUDiv ? a / b : a % b;
-          cost += 20;
-          break;
-        case Op::kAnd:
-          r = a & b;
-          break;
-        case Op::kOr:
-          r = a | b;
-          break;
-        case Op::kXor:
-          r = a ^ b;
-          break;
-        case Op::kShl:
-          r = b >= 64 ? 0 : a << b;
-          break;
-        case Op::kLShr:
-          r = b >= 64 ? 0 : a >> b;
-          break;
-        case Op::kAShr:
-          r = static_cast<uint64_t>(
-              static_cast<int64_t>(a) >> (b >= 64 ? 63 : b));
-          break;
-        default:
-          POLY_UNREACHABLE("covered above");
+      ir::BinaryResult r = ir::EvalBinary(inst.op(), Eval(f, inst.operand(0)),
+                                          Eval(f, inst.operand(1)));
+      if (!r.ok()) {
+        Fault(ir::DivFaultMessage(r.fault));
+        return false;
       }
-      f.values[static_cast<size_t>(inst.id)] = r;
+      f.values[static_cast<size_t>(inst.id)] = r.value;
+      cost = AluBaseCost(inst.op(), costs_);
       break;
     }
 
-    case Op::kICmp: {
-      uint64_t a = Eval(f, inst.operand(0));
-      uint64_t b = Eval(f, inst.operand(1));
-      f.values[static_cast<size_t>(inst.id)] = EvalPred(inst.pred, a, b);
+    case Op::kICmp:
+      f.values[static_cast<size_t>(inst.id)] = ir::EvalPred(
+          inst.pred, Eval(f, inst.operand(0)), Eval(f, inst.operand(1)));
       break;
-    }
 
     case Op::kSelect: {
       uint64_t c = Eval(f, inst.operand(0));
@@ -145,13 +113,10 @@ bool Engine::StepInstructionImpl(Thread& t) {
       break;
     }
 
-    case Op::kSExt: {
-      uint64_t v = Eval(f, inst.operand(0));
-      int shift = 64 - inst.width;
-      f.values[static_cast<size_t>(inst.id)] = static_cast<uint64_t>(
-          (static_cast<int64_t>(v << shift)) >> shift);
+    case Op::kSExt:
+      f.values[static_cast<size_t>(inst.id)] =
+          ir::SignExtend(Eval(f, inst.operand(0)), inst.width);
       break;
-    }
 
     case Op::kLoad: {
       uint64_t addr = Eval(f, inst.operand(0));
@@ -164,7 +129,7 @@ bool Engine::StepInstructionImpl(Thread& t) {
       uint64_t addr = Eval(f, inst.operand(0));
       RecordAccess(&inst, t, addr);
       memory_.Write(addr, inst.size,
-                    MaskBytes(Eval(f, inst.operand(1)), inst.size));
+                    ir::MaskBytes(Eval(f, inst.operand(1)), inst.size));
       cost = costs_.mem_access;
       break;
     }
@@ -203,13 +168,7 @@ bool Engine::StepInstructionImpl(Thread& t) {
       }
       EnterBlock(f, target);
       advance = false;
-      // Dispatch cost grows with the target set (switch-on-PC, §3.2).
-      uint64_t n = inst.case_values.size();
-      cost = 2;
-      while (n > 1) {
-        n >>= 1;
-        ++cost;
-      }
+      cost = SwitchCost(inst.case_values.size());
       break;
     }
 
@@ -290,28 +249,8 @@ bool Engine::StepInstructionImpl(Thread& t) {
       uint64_t operand = Eval(f, inst.operand(1));
       RecordAccess(&inst, t, addr);
       uint64_t old = memory_.Read(addr, inst.size);
-      uint64_t r = old;
-      switch (inst.rmw_op) {
-        case RmwOp::kAdd:
-          r = old + operand;
-          break;
-        case RmwOp::kSub:
-          r = old - operand;
-          break;
-        case RmwOp::kAnd:
-          r = old & operand;
-          break;
-        case RmwOp::kOr:
-          r = old | operand;
-          break;
-        case RmwOp::kXor:
-          r = old ^ operand;
-          break;
-        case RmwOp::kXchg:
-          r = operand;
-          break;
-      }
-      memory_.Write(addr, inst.size, MaskBytes(r, inst.size));
+      uint64_t r = ir::ApplyRmw(inst.rmw_op, old, operand);
+      memory_.Write(addr, inst.size, ir::MaskBytes(r, inst.size));
       f.values[static_cast<size_t>(inst.id)] = old;
       if constexpr (kObs) {
         if (options_.obs.profile != nullptr) {
@@ -325,12 +264,12 @@ bool Engine::StepInstructionImpl(Thread& t) {
 
     case Op::kCmpXchg: {
       uint64_t addr = Eval(f, inst.operand(0));
-      uint64_t expected = MaskBytes(Eval(f, inst.operand(1)), inst.size);
+      uint64_t expected = ir::MaskBytes(Eval(f, inst.operand(1)), inst.size);
       uint64_t desired = Eval(f, inst.operand(2));
       RecordAccess(&inst, t, addr);
       uint64_t old = memory_.Read(addr, inst.size);
       if (old == expected) {
-        memory_.Write(addr, inst.size, MaskBytes(desired, inst.size));
+        memory_.Write(addr, inst.size, ir::MaskBytes(desired, inst.size));
       }
       f.values[static_cast<size_t>(inst.id)] = old;
       if constexpr (kObs) {
@@ -455,7 +394,7 @@ bool Engine::HandleIntrinsic(Thread& t, size_t frame_index,
         static_cast<__int128>(Eval(f, inst.operand(1)));
     int64_t divisor = static_cast<int64_t>(Eval(f, inst.operand(2)));
     if (divisor == 0) {
-      Fault("division by zero in lifted code");
+      Fault(ir::kDivByZeroMessage);
       return false;
     }
     set_result(static_cast<uint64_t>(name == "helper_sdiv128"

@@ -24,7 +24,7 @@
 #include <utility>
 
 #include "src/exec/engine.h"
-#include "src/exec/exec_util.h"
+#include "src/ir/semantics.h"
 #include "src/support/check.h"
 #include "src/support/strings.h"
 
@@ -69,38 +69,33 @@ bool IsUncovered(const BasicBlock* b) {
   return false;
 }
 
-TOp AluTOpFor(Op op) {
-  switch (op) {
-    case Op::kAdd:
-      return TOp::kAdd;
-    case Op::kSub:
-      return TOp::kSub;
-    case Op::kMul:
-      return TOp::kMul;
-    case Op::kSDiv:
-      return TOp::kSDiv;
-    case Op::kSRem:
-      return TOp::kSRem;
-    case Op::kUDiv:
-      return TOp::kUDiv;
-    case Op::kURem:
-      return TOp::kURem;
-    case Op::kAnd:
-      return TOp::kAnd;
-    case Op::kOr:
-      return TOp::kOr;
-    case Op::kXor:
-      return TOp::kXor;
-    case Op::kShl:
-      return TOp::kShl;
-    case Op::kLShr:
-      return TOp::kLShr;
-    case Op::kAShr:
-      return TOp::kAShr;
-    default:
-      POLY_UNREACHABLE("not an ALU op");
+// Exactly one operand of `user` is `v`.
+bool UsesExactlyOnce(const Instruction* user, const Value* v) {
+  int uses = 0;
+  for (int i = 0; i < user->num_operands(); ++i) {
+    if (user->operand(i) == v) {
+      ++uses;
+    }
   }
+  return uses == 1;
 }
+
+constexpr bool Mirrors(TOp t, Op o) {
+  return static_cast<int>(t) == static_cast<int>(o);
+}
+// TOp's ALU block mirrors ir::Op's binary ops one for one, so an ALU op
+// translates by a cast and a fused kLoadOp stores its ir::Op in `extra`.
+static_assert(Mirrors(TOp::kAdd, Op::kAdd) && Mirrors(TOp::kSub, Op::kSub) &&
+              Mirrors(TOp::kMul, Op::kMul) && Mirrors(TOp::kSDiv, Op::kSDiv) &&
+              Mirrors(TOp::kSRem, Op::kSRem) &&
+              Mirrors(TOp::kUDiv, Op::kUDiv) &&
+              Mirrors(TOp::kURem, Op::kURem) && Mirrors(TOp::kAnd, Op::kAnd) &&
+              Mirrors(TOp::kOr, Op::kOr) && Mirrors(TOp::kXor, Op::kXor) &&
+              Mirrors(TOp::kShl, Op::kShl) &&
+              Mirrors(TOp::kLShr, Op::kLShr) &&
+              Mirrors(TOp::kAShr, Op::kAShr));
+
+}  // namespace
 
 uint64_t AluBaseCost(Op op, const IrCostModel& c) {
   switch (op) {
@@ -125,19 +120,6 @@ uint64_t SwitchCost(size_t num_cases) {
   }
   return cost;
 }
-
-// Exactly one operand of `user` is `v`.
-bool UsesExactlyOnce(const Instruction* user, const Value* v) {
-  int uses = 0;
-  for (int i = 0; i < user->num_operands(); ++i) {
-    if (user->operand(i) == v) {
-      ++uses;
-    }
-  }
-  return uses == 1;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Translator
@@ -335,8 +317,7 @@ bool Tier1Backend::Translate(FuncInfo* info) {
         ti.c = slot_of(mem_lhs ? nx->operand(1) : nx->operand(0));
         ti.dst = static_cast<uint32_t>(nx->id);
         ti.size = static_cast<uint8_t>(inst.size);
-        ti.extra = static_cast<uint8_t>(AluTOpFor(nx->op())) |
-                   (mem_lhs ? 0x80 : 0);
+        ti.extra = static_cast<uint8_t>(nx->op()) | (mem_lhs ? 0x80 : 0);
         ti.cost = static_cast<uint32_t>(c.mem_access + c.alu);
         ti.jitter = 2;
         ti.n_instrs = 2;
@@ -375,7 +356,7 @@ bool Tier1Backend::Translate(FuncInfo* info) {
         case Op::kShl:
         case Op::kLShr:
         case Op::kAShr:
-          ti.op = AluTOpFor(inst.op());
+          ti.op = static_cast<TOp>(inst.op());
           ti.a = slot_of(inst.operand(0));
           ti.b = slot_of(inst.operand(1));
           ti.dst = static_cast<uint32_t>(inst.id);
@@ -940,6 +921,20 @@ bool Tier1Backend::StepImpl(Thread& t, StepMode mode) {
     }
     charge(ti);
   };
+  auto alu = [&](const TInst& ti, uint64_t value) {
+    v[ti.dst] = value;
+    charge(ti);
+    ++f->tpc;
+  };
+  // A faulting division stops before charging, as in tier 0.
+  auto divide = [&](const TInst& ti, ir::BinaryResult r) {
+    if (!r.ok()) {
+      e_.Fault(ir::DivFaultMessage(r.fault));
+      return false;
+    }
+    alu(ti, r.value);
+    return true;
+  };
 
   for (;;) {
     const TInst& ti = code[f->tpc];
@@ -963,101 +958,61 @@ bool Tier1Backend::StepImpl(Thread& t, StepMode mode) {
 
     switch (ti.op) {
       case TOp::kAdd:
-        v[ti.dst] = v[ti.a] + v[ti.b];
-        charge(ti);
-        ++f->tpc;
+        alu(ti, ir::Add(v[ti.a], v[ti.b]));
         break;
       case TOp::kSub:
-        v[ti.dst] = v[ti.a] - v[ti.b];
-        charge(ti);
-        ++f->tpc;
+        alu(ti, ir::Sub(v[ti.a], v[ti.b]));
         break;
       case TOp::kMul:
-        v[ti.dst] = v[ti.a] * v[ti.b];
-        charge(ti);
-        ++f->tpc;
+        alu(ti, ir::Mul(v[ti.a], v[ti.b]));
         break;
       case TOp::kSDiv:
-      case TOp::kSRem: {
-        uint64_t a = v[ti.a], b = v[ti.b];
-        if (b == 0) {
-          e_.Fault("division by zero in lifted code");
+        if (!divide(ti, ir::SDiv(v[ti.a], v[ti.b]))) {
           return finish_false();
         }
-        int64_t sa = static_cast<int64_t>(a);
-        int64_t sb = static_cast<int64_t>(b);
-        if (sa == INT64_MIN && sb == -1) {
-          e_.Fault("division overflow in lifted code");
-          return finish_false();
-        }
-        v[ti.dst] = static_cast<uint64_t>(ti.op == TOp::kSDiv ? sa / sb
-                                                              : sa % sb);
-        charge(ti);
-        ++f->tpc;
         break;
-      }
+      case TOp::kSRem:
+        if (!divide(ti, ir::SRem(v[ti.a], v[ti.b]))) {
+          return finish_false();
+        }
+        break;
       case TOp::kUDiv:
-      case TOp::kURem: {
-        uint64_t a = v[ti.a], b = v[ti.b];
-        if (b == 0) {
-          e_.Fault("division by zero in lifted code");
+        if (!divide(ti, ir::UDiv(v[ti.a], v[ti.b]))) {
           return finish_false();
         }
-        v[ti.dst] = ti.op == TOp::kUDiv ? a / b : a % b;
-        charge(ti);
-        ++f->tpc;
         break;
-      }
+      case TOp::kURem:
+        if (!divide(ti, ir::URem(v[ti.a], v[ti.b]))) {
+          return finish_false();
+        }
+        break;
       case TOp::kAnd:
-        v[ti.dst] = v[ti.a] & v[ti.b];
-        charge(ti);
-        ++f->tpc;
+        alu(ti, ir::And(v[ti.a], v[ti.b]));
         break;
       case TOp::kOr:
-        v[ti.dst] = v[ti.a] | v[ti.b];
-        charge(ti);
-        ++f->tpc;
+        alu(ti, ir::Or(v[ti.a], v[ti.b]));
         break;
       case TOp::kXor:
-        v[ti.dst] = v[ti.a] ^ v[ti.b];
-        charge(ti);
-        ++f->tpc;
+        alu(ti, ir::Xor(v[ti.a], v[ti.b]));
         break;
       case TOp::kShl:
-        v[ti.dst] = v[ti.b] >= 64 ? 0 : v[ti.a] << v[ti.b];
-        charge(ti);
-        ++f->tpc;
+        alu(ti, ir::Shl(v[ti.a], v[ti.b]));
         break;
       case TOp::kLShr:
-        v[ti.dst] = v[ti.b] >= 64 ? 0 : v[ti.a] >> v[ti.b];
-        charge(ti);
-        ++f->tpc;
+        alu(ti, ir::LShr(v[ti.a], v[ti.b]));
         break;
       case TOp::kAShr:
-        v[ti.dst] = static_cast<uint64_t>(static_cast<int64_t>(v[ti.a]) >>
-                                          (v[ti.b] >= 64 ? 63 : v[ti.b]));
-        charge(ti);
-        ++f->tpc;
+        alu(ti, ir::AShr(v[ti.a], v[ti.b]));
         break;
       case TOp::kICmp:
-        v[ti.dst] =
-            EvalPred(static_cast<Pred>(ti.extra), v[ti.a], v[ti.b]);
-        charge(ti);
-        ++f->tpc;
+        alu(ti, ir::EvalPred(static_cast<Pred>(ti.extra), v[ti.a], v[ti.b]));
         break;
       case TOp::kSelect:
-        v[ti.dst] = v[ti.a] != 0 ? v[ti.b] : v[ti.c];
-        charge(ti);
-        ++f->tpc;
+        alu(ti, v[ti.a] != 0 ? v[ti.b] : v[ti.c]);
         break;
-      case TOp::kSExt: {
-        int shift = 64 - ti.extra;
-        v[ti.dst] = static_cast<uint64_t>(
-            static_cast<int64_t>(v[ti.a] << shift) >> shift);
-        charge(ti);
-        ++f->tpc;
+      case TOp::kSExt:
+        alu(ti, ir::SignExtend(v[ti.a], ti.extra));
         break;
-      }
 
       case TOp::kLoad:
         v[ti.dst] = mem.Read(v[ti.a], ti.size);
@@ -1085,31 +1040,10 @@ bool Tier1Backend::StepImpl(Thread& t, StepMode mode) {
         break;
       case TOp::kLoadOp: {
         uint64_t m = mem.Read(v[ti.a], ti.size);
-        uint64_t other = v[ti.c];
         bool mem_lhs = (ti.extra & 0x80) != 0;
-        uint64_t x = mem_lhs ? m : other;
-        uint64_t y = mem_lhs ? other : m;
-        uint64_t r;
-        switch (static_cast<TOp>(ti.extra & 0x7f)) {
-          case TOp::kAdd:
-            r = x + y;
-            break;
-          case TOp::kSub:
-            r = x - y;
-            break;
-          case TOp::kAnd:
-            r = x & y;
-            break;
-          case TOp::kOr:
-            r = x | y;
-            break;
-          default:
-            r = x ^ y;
-            break;
-        }
-        v[ti.dst] = r;
-        charge(ti);
-        ++f->tpc;
+        alu(ti, ir::EvalBinary(static_cast<Op>(ti.extra & 0x7f),
+                               mem_lhs ? m : v[ti.c], mem_lhs ? v[ti.c] : m)
+                    .value);
         if (mem.faulted()) {
           return finish_true();
         }
@@ -1121,7 +1055,7 @@ bool Tier1Backend::StepImpl(Thread& t, StepMode mode) {
         if (mem.InExecutableRange(addr, ti.size)) {
           return do_deopt(ti, DeoptReason::kSmcWrite);
         }
-        mem.Write(addr, ti.size, MaskBytes(v[ti.b], ti.size));
+        mem.Write(addr, ti.size, ir::MaskBytes(v[ti.b], ti.size));
         charge(ti);
         ++f->tpc;
         if (mem.faulted()) {
@@ -1134,7 +1068,7 @@ bool Tier1Backend::StepImpl(Thread& t, StepMode mode) {
         if (mem.InExecutableRange(addr, ti.size)) {
           return do_deopt(ti, DeoptReason::kSmcWrite);
         }
-        mem.Write(addr, ti.size, MaskBytes(v[ti.c], ti.size));
+        mem.Write(addr, ti.size, ir::MaskBytes(v[ti.c], ti.size));
         charge(ti);
         ++f->tpc;
         if (mem.faulted()) {
@@ -1147,7 +1081,7 @@ bool Tier1Backend::StepImpl(Thread& t, StepMode mode) {
         if (mem.InExecutableRange(addr, ti.size)) {
           return do_deopt(ti, DeoptReason::kSmcWrite);
         }
-        mem.Write(addr, ti.size, MaskBytes(v[ti.c], ti.size));
+        mem.Write(addr, ti.size, ir::MaskBytes(v[ti.c], ti.size));
         charge(ti);
         ++f->tpc;
         if (mem.faulted()) {
@@ -1166,7 +1100,7 @@ bool Tier1Backend::StepImpl(Thread& t, StepMode mode) {
           }
           e_.options_.obs.Add(obs::Counter::kExecFences);
         }
-        mem.Write(addr, ti.size, MaskBytes(v[ti.b], ti.size));
+        mem.Write(addr, ti.size, ir::MaskBytes(v[ti.b], ti.size));
         charge(ti);
         ++f->tpc;
         if (mem.faulted()) {
@@ -1209,30 +1143,9 @@ bool Tier1Backend::StepImpl(Thread& t, StepMode mode) {
 
       case TOp::kAtomicRmw: {
         uint64_t addr = v[ti.a];
-        uint64_t operand = v[ti.b];
         uint64_t old = mem.Read(addr, ti.size);
-        uint64_t r = old;
-        switch (static_cast<RmwOp>(ti.extra)) {
-          case RmwOp::kAdd:
-            r = old + operand;
-            break;
-          case RmwOp::kSub:
-            r = old - operand;
-            break;
-          case RmwOp::kAnd:
-            r = old & operand;
-            break;
-          case RmwOp::kOr:
-            r = old | operand;
-            break;
-          case RmwOp::kXor:
-            r = old ^ operand;
-            break;
-          case RmwOp::kXchg:
-            r = operand;
-            break;
-        }
-        mem.Write(addr, ti.size, MaskBytes(r, ti.size));
+        uint64_t r = ir::ApplyRmw(static_cast<RmwOp>(ti.extra), old, v[ti.b]);
+        mem.Write(addr, ti.size, ir::MaskBytes(r, ti.size));
         v[ti.dst] = old;
         if constexpr (kObs) {
           if (profile != nullptr) {
@@ -1249,10 +1162,10 @@ bool Tier1Backend::StepImpl(Thread& t, StepMode mode) {
       }
       case TOp::kCmpXchg: {
         uint64_t addr = v[ti.a];
-        uint64_t expected = MaskBytes(v[ti.b], ti.size);
+        uint64_t expected = ir::MaskBytes(v[ti.b], ti.size);
         uint64_t old = mem.Read(addr, ti.size);
         if (old == expected) {
-          mem.Write(addr, ti.size, MaskBytes(v[ti.c], ti.size));
+          mem.Write(addr, ti.size, ir::MaskBytes(v[ti.c], ti.size));
         }
         v[ti.dst] = old;
         if constexpr (kObs) {
@@ -1294,7 +1207,7 @@ bool Tier1Backend::StepImpl(Thread& t, StepMode mode) {
       }
       case TOp::kCmpBr: {
         uint64_t cond =
-            EvalPred(static_cast<Pred>(ti.extra), v[ti.a], v[ti.b]);
+            ir::EvalPred(static_cast<Pred>(ti.extra), v[ti.a], v[ti.b]);
         const BrInfo& bi = tr->brs[ti.aux];
         const BrTarget& bt = cond != 0 ? bi.then_t : bi.else_t;
         const TInst& tt = code[bt.tpc];

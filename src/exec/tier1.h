@@ -6,8 +6,9 @@
 // array, pre-resolving operand slots, constants (interned into a pool
 // appended to the frame's value array), branch targets (bytecode pcs, not
 // block pointers), callees (FuncInfo*, no map lookup) and the cost model.
-// Execution is a computed-goto loop over that array — no list traversal, no
-// operand-kind dispatch, no per-instruction map lookups.
+// Execution is a loop with one switch per TInst over that array — no list
+// traversal, no operand-kind dispatch, no per-instruction map lookups. What
+// each operation computes comes from src/ir/semantics.h, as in tier 0.
 //
 // Superinstructions fuse the patterns the cost model says dominate:
 //   kCmpBr              icmp + conditional branch on it
@@ -41,11 +42,12 @@
 namespace polynima::exec {
 
 class Engine;
+struct IrCostModel;
 
-// Tier-1 opcodes. Order is load-bearing only for the dispatch tables in
-// tier1.cc (kept in sync by static_assert there).
+// Tier-1 opcodes.
 enum class TOp : uint8_t {
-  // ALU, one per IR op so the executor body is branch-free per case.
+  // ALU, one per IR op so the executor body is branch-free per case. This
+  // block mirrors ir::Op's kAdd..kAShr in order (static_assert in tier1.cc).
   kAdd = 0,
   kSub,
   kMul,
@@ -142,6 +144,12 @@ struct Translation {
   uint32_t scratch_base = 0;
   uint32_t num_values = 0;
 };
+
+// Simulated cycles of a binary op and of a switch over `num_cases` cases
+// (dispatch grows with the target set: switch-on-PC, §3.2). Tier 0 charges
+// the same.
+uint64_t AluBaseCost(ir::Op op, const IrCostModel& c);
+uint64_t SwitchCost(size_t num_cases);
 
 class Tier1Backend : public Backend {
  public:

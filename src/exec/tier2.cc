@@ -28,8 +28,8 @@
 #include <cstddef>
 
 #include "src/exec/engine.h"
-#include "src/exec/exec_util.h"
 #include "src/exec/tier1.h"
+#include "src/ir/semantics.h"
 #include "src/support/check.h"
 #include "src/x86/assembler.h"
 
@@ -874,7 +874,7 @@ uint64_t Tier2Backend::MemWrite(Tier2Ctx* ctx, uint64_t addr, uint64_t size,
   if (mem.InExecutableRange(addr, sz)) {
     return 1;  // SMC: no write; generated code exits to the deopt path
   }
-  mem.Write(addr, sz, MaskBytes(value, sz));
+  mem.Write(addr, sz, ir::MaskBytes(value, sz));
   if (mem.faulted()) {
     ctx->mem_fault = 1;
   }
@@ -889,28 +889,8 @@ uint64_t Tier2Backend::AtomicRmw(Tier2Ctx* ctx, uint64_t addr,
   vm::Memory& mem = e.memory_;
   int size = static_cast<int>(size_op & 0xff);
   uint64_t old = mem.Read(addr, size);
-  uint64_t r = old;
-  switch (static_cast<RmwOp>(size_op >> 8)) {
-    case RmwOp::kAdd:
-      r = old + operand;
-      break;
-    case RmwOp::kSub:
-      r = old - operand;
-      break;
-    case RmwOp::kAnd:
-      r = old & operand;
-      break;
-    case RmwOp::kOr:
-      r = old | operand;
-      break;
-    case RmwOp::kXor:
-      r = old ^ operand;
-      break;
-    case RmwOp::kXchg:
-      r = operand;
-      break;
-  }
-  mem.Write(addr, size, MaskBytes(r, size));
+  uint64_t r = ir::ApplyRmw(static_cast<RmwOp>(size_op >> 8), old, operand);
+  mem.Write(addr, size, ir::MaskBytes(r, size));
   if (e.obs_attached_) {
     if (e.options_.obs.profile != nullptr) {
       e.options_.obs.profile->AddAtomic(static_cast<uint32_t>(site));
@@ -930,10 +910,10 @@ uint64_t Tier2Backend::CmpXchg(Tier2Ctx* ctx, uint64_t addr, uint64_t expected,
   Engine& e = *ctx->engine;
   vm::Memory& mem = e.memory_;
   int sz = static_cast<int>(size);
-  uint64_t want = MaskBytes(expected, sz);
+  uint64_t want = ir::MaskBytes(expected, sz);
   uint64_t old = mem.Read(addr, sz);
   if (old == want) {
-    mem.Write(addr, sz, MaskBytes(desired, sz));
+    mem.Write(addr, sz, ir::MaskBytes(desired, sz));
   }
   if (e.obs_attached_) {
     if (e.options_.obs.profile != nullptr) {
@@ -1164,11 +1144,11 @@ bool Tier2Backend::Step(Thread& t, StepMode mode) {
     }
 
     case Tier2Exit::kDivZero:
-      e_.Fault("division by zero in lifted code");
+      e_.Fault(ir::kDivByZeroMessage);
       return finish_false();
 
     case Tier2Exit::kDivOverflow:
-      e_.Fault("division overflow in lifted code");
+      e_.Fault(ir::kDivOverflowMessage);
       return finish_false();
   }
   POLY_UNREACHABLE("bad tier-2 exit status");

@@ -1,5 +1,7 @@
 #include "src/opt/passes.h"
 
+#include "src/ir/semantics.h"
+
 namespace polynima::opt {
 
 using ir::BasicBlock;
@@ -19,34 +21,6 @@ bool GetConst(const Value* v, int64_t& out) {
   }
   out = static_cast<const Constant*>(v)->value();
   return true;
-}
-
-uint64_t EvalPredConst(Pred pred, int64_t a, int64_t b) {
-  uint64_t ua = static_cast<uint64_t>(a);
-  uint64_t ub = static_cast<uint64_t>(b);
-  switch (pred) {
-    case Pred::kEq:
-      return a == b;
-    case Pred::kNe:
-      return a != b;
-    case Pred::kSlt:
-      return a < b;
-    case Pred::kSle:
-      return a <= b;
-    case Pred::kSgt:
-      return a > b;
-    case Pred::kSge:
-      return a >= b;
-    case Pred::kUlt:
-      return ua < ub;
-    case Pred::kUle:
-      return ua <= ub;
-    case Pred::kUgt:
-      return ua > ub;
-    case Pred::kUge:
-      return ua >= ub;
-  }
-  return 0;
 }
 
 // Number of guaranteed-zero high bits of `v` (cheap recursive bound).
@@ -105,59 +79,6 @@ int KnownZeroHighBits(const Value* v, int depth = 0) {
       return 0;
     }
     default:
-      return 0;
-  }
-}
-
-int64_t FoldBinary(Op op, int64_t a, int64_t b, bool& ok) {
-  ok = true;
-  uint64_t ua = static_cast<uint64_t>(a);
-  uint64_t ub = static_cast<uint64_t>(b);
-  switch (op) {
-    case Op::kAdd:
-      return static_cast<int64_t>(ua + ub);
-    case Op::kSub:
-      return static_cast<int64_t>(ua - ub);
-    case Op::kMul:
-      return static_cast<int64_t>(ua * ub);
-    case Op::kAnd:
-      return a & b;
-    case Op::kOr:
-      return a | b;
-    case Op::kXor:
-      return a ^ b;
-    case Op::kShl:
-      return ub >= 64 ? 0 : static_cast<int64_t>(ua << ub);
-    case Op::kLShr:
-      return ub >= 64 ? 0 : static_cast<int64_t>(ua >> ub);
-    case Op::kAShr:
-      return a >> (ub >= 64 ? 63 : ub);
-    case Op::kSDiv:
-      if (b == 0 || (a == INT64_MIN && b == -1)) {
-        ok = false;
-        return 0;
-      }
-      return a / b;
-    case Op::kSRem:
-      if (b == 0 || (a == INT64_MIN && b == -1)) {
-        ok = false;
-        return 0;
-      }
-      return a % b;
-    case Op::kUDiv:
-      if (b == 0) {
-        ok = false;
-        return 0;
-      }
-      return static_cast<int64_t>(ua / ub);
-    case Op::kURem:
-      if (b == 0) {
-        ok = false;
-        return 0;
-      }
-      return static_cast<int64_t>(ua % ub);
-    default:
-      ok = false;
       return 0;
   }
 }
@@ -459,27 +380,6 @@ Value* TryFuseFlags(Instruction* inst, BasicBlock* block,
   return nullptr;
 }
 
-bool IsBinaryOp(Op op) {
-  switch (op) {
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kSDiv:
-    case Op::kSRem:
-    case Op::kUDiv:
-    case Op::kURem:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kShl:
-    case Op::kLShr:
-    case Op::kAShr:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 bool InstCombine(Function& f, Module& m) {
@@ -500,15 +400,17 @@ bool InstCombine(Function& f, Module& m) {
         }
       }
 
-      if (IsBinaryOp(inst->op())) {
+      if (ir::IsBinary(inst->op())) {
         int64_t a, b;
         bool ca = GetConst(inst->operand(0), a);
         bool cb = GetConst(inst->operand(1), b);
         if (ca && cb) {
-          bool ok;
-          int64_t r = FoldBinary(inst->op(), a, b, ok);
-          if (ok) {
-            replacement = m.GetConstant(r);
+          // A faulting pair stays unfolded: the fault happens at run time.
+          ir::BinaryResult r =
+              ir::EvalBinary(inst->op(), static_cast<uint64_t>(a),
+                             static_cast<uint64_t>(b));
+          if (r.ok()) {
+            replacement = m.GetConstant(static_cast<int64_t>(r.value));
           }
         } else if (cb) {
           // Identities with constant rhs.
@@ -583,8 +485,8 @@ bool InstCombine(Function& f, Module& m) {
       } else if (inst->op() == Op::kICmp) {
         int64_t a, b;
         if (GetConst(inst->operand(0), a) && GetConst(inst->operand(1), b)) {
-          replacement = m.GetConstant(
-              static_cast<int64_t>(EvalPredConst(inst->pred, a, b)));
+          replacement = m.GetConstant(static_cast<int64_t>(ir::EvalPred(
+              inst->pred, static_cast<uint64_t>(a), static_cast<uint64_t>(b))));
         } else if (inst->operand(0) == inst->operand(1)) {
           switch (inst->pred) {
             case Pred::kEq:
@@ -609,10 +511,8 @@ bool InstCombine(Function& f, Module& m) {
       } else if (inst->op() == Op::kSExt) {
         int64_t a;
         if (GetConst(inst->operand(0), a)) {
-          int shift = 64 - inst->width;
-          replacement = m.GetConstant(
-              (static_cast<int64_t>(static_cast<uint64_t>(a) << shift)) >>
-              shift);
+          replacement = m.GetConstant(static_cast<int64_t>(
+              ir::SignExtend(static_cast<uint64_t>(a), inst->width)));
         } else if (KnownZeroHighBits(inst->operand(0)) >=
                    64 - inst->width + 1) {
           // The sign bit of the narrow value is guaranteed zero: sext is a

@@ -377,6 +377,55 @@ TEST(CfgRecovery, JsonRoundTrip) {
   }
 }
 
+// A recovered graph's JSON, for the malformed-document cases below.
+json::Value SmallGraphJson() {
+  ImageBuilder b("json");
+  auto& a = b.code();
+  b.SetEntry(a.CurrentAddress());
+  a.Emit(I2(Mnemonic::kAdd, 4, Operand::R(Reg::kRax), Operand::I(1)));
+  a.Emit(I0(Mnemonic::kRet));
+  auto graph = RecoverStatic(b.Build());
+  EXPECT_TRUE(graph.ok());
+  return graph->ToJson();
+}
+
+// FromJson must refuse `doc` with an InvalidArgument naming `field`.
+void ExpectRejected(const json::Value& doc, const std::string& field) {
+  auto graph = ControlFlowGraph::FromJson(doc);
+  ASSERT_FALSE(graph.ok()) << field;
+  EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(graph.status().message().find(field), std::string::npos)
+      << graph.status().ToString();
+}
+
+json::Object& FirstOf(json::Value& doc, const char* list) {
+  return doc.as_object()[list].as_array().at(0).as_object();
+}
+
+TEST(CfgJson, BlockMissingEndIsRejected) {
+  json::Value doc = SmallGraphJson();
+  FirstOf(doc, "blocks").erase("end");
+  ExpectRejected(doc, "blocks[0].end");
+}
+
+TEST(CfgJson, StringBlockStartIsRejected) {
+  json::Value doc = SmallGraphJson();
+  FirstOf(doc, "blocks")["start"] = json::Value("0x400000");
+  ExpectRejected(doc, "blocks[0].start");
+}
+
+TEST(CfgJson, BlocksObjectIsRejected) {
+  json::Value doc = SmallGraphJson();
+  doc.as_object()["blocks"] = json::Value(json::Object{});
+  ExpectRejected(doc, "\"blocks\"");
+}
+
+TEST(CfgJson, FunctionMissingNameIsRejected) {
+  json::Value doc = SmallGraphJson();
+  FirstOf(doc, "functions").erase("name");
+  ExpectRejected(doc, "functions[0].name");
+}
+
 TEST(CfgRecovery, OverlappingInstructionsAreRepresentable) {
   // A jump into the middle of a multi-byte instruction: both decodings
   // coexist in the CFG (the paper's obfuscated-control-flow capability).

@@ -6,7 +6,7 @@
 // deopt) and tier 2 (native x86 re-emission of the same superinstruction
 // stream, behind the same deopt guards) must produce the same exit code,
 // output, step count, simulated wall time and final state digest as tier 0
-// (the interpreter). These tests enforce that bar three ways:
+// (the interpreter). These tests enforce that bar four ways:
 //   - free-running and mixed-tier-threshold runs of single- and
 //     multi-threaded programs, at every tier and across mid-run 0->1->2
 //     promotion,
@@ -15,7 +15,9 @@
 //     thresholds,
 //   - one dedicated test per deopt guard reason (preempt, SMC write,
 //     uncovered CFG edge) at each tier proving the guard fires and behavior
-//     still matches the interpreter.
+//     still matches the interpreter,
+//   - hand-built programs that apply every IR operation to edge operands,
+//     checked against instcombine's constant folds (src/ir/semantics.h).
 //
 // Tier 2 requires executable host mappings; on hosts where vm::CodeBuffer
 // is unsupported the engine silently caps at tier 1, so the tier-2-specific
@@ -25,6 +27,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -36,13 +39,18 @@
 #include "src/cfg/cfg.h"
 #include "src/exec/engine.h"
 #include "src/exec/tier2.h"
+#include "src/ir/builder.h"
+#include "src/ir/semantics.h"
+#include "src/ir/verifier.h"
 #include "src/lift/lifter.h"
 #include "src/obs/report.h"
 #include "src/opt/passes.h"
 #include "src/sched/schedule.h"
 #include "src/sched/scheduler.h"
+#include "src/support/strings.h"
 #include "src/support/testseed.h"
 #include "src/vm/code_buffer.h"
+#include "src/x86/registers.h"
 #include "tests/sched_corpus.h"
 
 #ifndef POLY_SCHEDULES_DIR
@@ -782,6 +790,256 @@ TEST(ExecTierProf, HelperCallCountsAttributedUnderTier2) {
   ASSERT_NE(writes, nullptr);
   EXPECT_GT(reads->as_uint(), 0u);
   EXPECT_GT(writes->as_uint(), 0u);
+}
+
+
+// ---------------------------------------------------------------------------
+// IR semantics property (src/ir/semantics.h): on edge operands, tiers 0, 1
+// and 2 and instcombine's constant folder compute every operation alike.
+// The programs are built by hand so each operation reaches the executors
+// exactly as written, with constant operands the folder can see.
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kEdgeOperands[] = {
+    0, 1, 63, 64, 65, uint64_t{INT64_MAX}, uint64_t{1} << 63, ~uint64_t{0}};
+constexpr ir::Op kBinaryOps[] = {
+    ir::Op::kAdd, ir::Op::kSub,  ir::Op::kMul, ir::Op::kSDiv, ir::Op::kSRem,
+    ir::Op::kUDiv, ir::Op::kURem, ir::Op::kAnd, ir::Op::kOr,  ir::Op::kXor,
+    ir::Op::kShl, ir::Op::kLShr, ir::Op::kAShr};
+constexpr ir::Pred kPreds[] = {
+    ir::Pred::kEq,  ir::Pred::kNe,  ir::Pred::kSlt, ir::Pred::kSle,
+    ir::Pred::kSgt, ir::Pred::kSge, ir::Pred::kUlt, ir::Pred::kUle,
+    ir::Pred::kUgt, ir::Pred::kUge};
+constexpr int kSExtWidths[] = {1, 8, 16, 32, 63, 64};
+constexpr ir::RmwOp kRmwOps[] = {ir::RmwOp::kAdd, ir::RmwOp::kSub,
+                                 ir::RmwOp::kAnd, ir::RmwOp::kOr,
+                                 ir::RmwOp::kXor, ir::RmwOp::kXchg};
+// What each RMW op stores, as the binop the folder evaluates. xchg stores
+// its operand, so its entry is unused.
+constexpr ir::Op kRmwBinops[] = {ir::Op::kAdd, ir::Op::kSub, ir::Op::kAnd,
+                                 ir::Op::kOr,  ir::Op::kXor, ir::Op::kAdd};
+
+// The pairs that must fault, written out independently of semantics.h:
+// every divide by zero, and the signed INT64_MIN / -1 overflow.
+bool Faults(ir::Op op, uint64_t a, uint64_t b) {
+  bool div = op == ir::Op::kSDiv || op == ir::Op::kSRem ||
+             op == ir::Op::kUDiv || op == ir::Op::kURem;
+  bool is_signed = op == ir::Op::kSDiv || op == ir::Op::kSRem;
+  return div && (b == 0 || (is_signed && a == uint64_t{1} << 63 &&
+                            b == ~uint64_t{0}));
+}
+
+struct SemCase {
+  enum Kind { kBinary, kICmp, kSExt, kRmw } kind;
+  int op;  // ir::Op, ir::Pred, sext width or index into kRmwOps
+  uint64_t a, b;
+};
+
+std::string Describe(const SemCase& c) {
+  std::string what;
+  switch (c.kind) {
+    case SemCase::kBinary:
+      what = ir::OpName(static_cast<ir::Op>(c.op));
+      break;
+    case SemCase::kICmp:
+      what = StrCat("icmp ", ir::PredName(static_cast<ir::Pred>(c.op)));
+      break;
+    case SemCase::kSExt:
+      what = StrCat("sext from ", c.op);
+      break;
+    case SemCase::kRmw:
+      what = StrCat("atomicrmw ", kRmwOps[c.op] == ir::RmwOp::kXchg
+                                      ? "xchg"
+                                      : ir::OpName(kRmwBinops[c.op]));
+      break;
+  }
+  return StrCat(what, "(", static_cast<int64_t>(c.a), ", ",
+                static_cast<int64_t>(c.b), ")");
+}
+
+// Appends `c` to the builder's block and returns the values it yields. For
+// the folder an atomicrmw becomes what it must leave behind: the old value,
+// then the binop it applies (xchg: the operand).
+std::vector<ir::Value*> EmitCase(ir::IRBuilder& b, const SemCase& c,
+                                 bool for_folder) {
+  switch (c.kind) {
+    case SemCase::kBinary:
+      return {b.Binary(static_cast<ir::Op>(c.op), b.Const(c.a), b.Const(c.b))};
+    case SemCase::kICmp:
+      return {b.ICmp(static_cast<ir::Pred>(c.op), b.Const(c.a), b.Const(c.b))};
+    case SemCase::kSExt:
+      return {b.SExt(b.Const(c.a), c.op)};
+    case SemCase::kRmw: {
+      const bool xchg = kRmwOps[c.op] == ir::RmwOp::kXchg;
+      if (for_folder) {
+        ir::Value* stored =
+            xchg ? static_cast<ir::Value*>(b.Const(c.b))
+                 : b.Binary(kRmwBinops[c.op], b.Const(c.a), b.Const(c.b));
+        return {b.Const(c.a), stored};
+      }
+      ir::Value* cell = b.Const(static_cast<int64_t>(binary::kHeapBase));
+      b.Store(8, cell, b.Const(c.a));
+      ir::Value* old = b.AtomicRmw(kRmwOps[c.op], 8, cell, b.Const(c.b));
+      return {old, b.Load(8, cell)};
+    }
+  }
+  return {};
+}
+
+// A program whose entry prints every value `cases` yield, space-separated.
+Built SemanticsProgram(const std::vector<SemCase>& cases) {
+  Built built;
+  lift::LiftedProgram& program = built.program;
+  program.module = std::make_shared<ir::Module>();
+  ir::Module& m = *program.module;
+  for (int i = 0; i < x86::kNumGprs; ++i) {
+    m.AddGlobal("vr_" + x86::RegName(static_cast<x86::Reg>(i), 8),
+                /*is_thread_local=*/true, 0);
+  }
+  ir::Global* rdi = m.GetGlobal("vr_rdi");
+  program.externals = {"print_i64", "print_char"};
+  ir::Function* main_fn = m.AddFunction("main", 0, true);
+  ir::IRBuilder b(&m);
+  b.SetInsertBlock(main_fn->AddBlock("entry"));
+  for (const SemCase& c : cases) {
+    for (ir::Value* v : EmitCase(b, c, /*for_folder=*/false)) {
+      b.GStore(rdi, v);
+      b.CallIntrinsic("ext_call", {b.Const(0)});
+      b.GStore(rdi, b.Const(' '));
+      b.CallIntrinsic("ext_call", {b.Const(1)});
+    }
+  }
+  b.GStore(m.GetGlobal("vr_rax"), b.Const(0));
+  b.Ret(b.Const(static_cast<int64_t>(binary::kProgramExitMagic)));
+  EXPECT_TRUE(ir::Verify(m).ok());
+  program.functions_by_entry = {{0x1000, main_fn}};
+  program.entry = 0x1000;
+  return built;
+}
+
+// instcombine's fold of each value `cases` yield; an unfolded value (not a
+// constant after the pass) reads as nullopt.
+std::vector<std::optional<int64_t>> Folded(const std::vector<SemCase>& cases) {
+  ir::Module m;
+  ir::Global* sink = m.AddGlobal("sink", true, 0);
+  ir::Function* f = m.AddFunction("fold", 0, false);
+  ir::IRBuilder b(&m);
+  b.SetInsertBlock(f->AddBlock("entry"));
+  for (const SemCase& c : cases) {
+    for (ir::Value* v : EmitCase(b, c, /*for_folder=*/true)) {
+      b.GStore(sink, v);
+    }
+  }
+  b.Ret();
+  opt::InstCombine(*f, m);
+  std::vector<std::optional<int64_t>> out;
+  for (const auto& inst : f->entry()->insts()) {
+    if (inst->op() == ir::Op::kGlobalStore) {
+      const ir::Value* v = inst->operand(0);
+      out.push_back(v->is_const()
+                        ? std::optional<int64_t>(
+                              static_cast<const ir::Constant*>(v)->value())
+                        : std::nullopt);
+    }
+  }
+  return out;
+}
+
+// Runs `built` at tiers 0, 1 and 2 (threshold 0: the entry is translated
+// before its first instruction runs), expects tiers 1 and 2 to agree with
+// tier 0, and returns the three results in tier order.
+std::vector<ExecResult> RunAllTiers(const Built& built,
+                                    const std::string& what) {
+  std::vector<ExecResult> runs;
+  for (int tier = 0; tier <= 2; ++tier) {
+    runs.push_back(RunBuilt(built, Tiered(tier)));
+    if (tier > 0) {
+      ExpectSameRun(runs[0], runs[tier], StrCat(what, " at tier ", tier));
+      EXPECT_EQ(runs[tier].tier1_translations, 1u) << what;
+      EXPECT_EQ(runs[tier].tier2_translations,
+                tier == 2 && Tier2Active() ? 1u : 0u)
+          << what;
+    }
+  }
+  return runs;
+}
+
+TEST(ExecSemantics, TiersAndFolderAgreeOnEdgeOperands) {
+  std::vector<SemCase> cases;
+  for (uint64_t a : kEdgeOperands) {
+    for (uint64_t b : kEdgeOperands) {
+      for (ir::Op op : kBinaryOps) {
+        if (!Faults(op, a, b)) {
+          cases.push_back({SemCase::kBinary, static_cast<int>(op), a, b});
+        }
+      }
+      for (ir::Pred pred : kPreds) {
+        cases.push_back({SemCase::kICmp, static_cast<int>(pred), a, b});
+      }
+      for (size_t i = 0; i < std::size(kRmwOps); ++i) {
+        cases.push_back({SemCase::kRmw, static_cast<int>(i), a, b});
+      }
+    }
+    for (int width : kSExtWidths) {
+      cases.push_back({SemCase::kSExt, width, a, 0});
+    }
+  }
+  const std::vector<std::optional<int64_t>> folded = Folded(cases);
+  const std::vector<ExecResult> runs =
+      RunAllTiers(SemanticsProgram(cases), "semantics program");
+  for (int tier = 0; tier <= 2; ++tier) {
+    ASSERT_TRUE(runs[tier].ok) << runs[tier].fault_message;
+    std::vector<std::string> printed;
+    std::istringstream in(runs[tier].output);
+    for (std::string token; in >> token;) {
+      printed.push_back(token);
+    }
+    ASSERT_EQ(printed.size(), folded.size()) << "tier " << tier;
+    size_t k = 0, mismatches = 0;
+    for (const SemCase& c : cases) {
+      const size_t n = c.kind == SemCase::kRmw ? 2 : 1;
+      for (size_t j = 0; j < n; ++j, ++k) {
+        if (folded[k].has_value() && std::to_string(*folded[k]) == printed[k]) {
+          continue;
+        }
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << "tier " << tier << ", " << Describe(c)
+                        << " value " << j << ": executed " << printed[k]
+                        << ", folded "
+                        << (folded[k] ? std::to_string(*folded[k])
+                                      : std::string("nothing"));
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "tier " << tier;
+  }
+}
+
+TEST(ExecSemantics, FaultingPairsFaultAlikeAndStayUnfolded) {
+  int faulting = 0;
+  for (ir::Op op : kBinaryOps) {
+    for (uint64_t a : kEdgeOperands) {
+      for (uint64_t b : kEdgeOperands) {
+        if (!Faults(op, a, b)) {
+          continue;
+        }
+        ++faulting;
+        const std::vector<SemCase> one = {
+            {SemCase::kBinary, static_cast<int>(op), a, b}};
+        const std::string what = Describe(one[0]);
+        ExecResult t0 = RunAllTiers(SemanticsProgram(one), what)[0];
+        EXPECT_FALSE(t0.ok) << what;
+        EXPECT_EQ(t0.fault_message, b == 0 ? ir::kDivByZeroMessage
+                                           : ir::kDivOverflowMessage)
+            << what;
+        std::vector<std::optional<int64_t>> folded = Folded(one);
+        ASSERT_EQ(folded.size(), 1u);
+        EXPECT_FALSE(folded[0].has_value()) << what << " was folded";
+      }
+    }
+  }
+  // 4 divides by 8 zero divisors, plus sdiv and srem of INT64_MIN by -1.
+  EXPECT_EQ(faulting, 34);
 }
 
 }  // namespace

@@ -122,7 +122,6 @@ TEST(SchedReplayTest, ControlledDifferentialFlagsFenceStripping) {
 
   check::DifferentialOptions options;
   options.schedules = 48;
-  ASSERT_TRUE(options.use_controlled);
   auto result = check::RunScheduleDifferential(
       fenced.program, nofence.program, fenced.image, {}, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
