@@ -19,7 +19,7 @@
 
 #include "src/cc/compiler.h"
 #include "src/exec/engine.h"
-#include "src/ir/ir.h"
+#include "src/ir/semantics.h"
 #include "src/recomp/recompiler.h"
 #include "src/vm/vm.h"
 #include "src/workloads/workloads.h"
@@ -48,7 +48,7 @@ int ReriteExternalCalls(lift::LiftedProgram& program,
   for (auto& fn : program.module->functions()) {
     for (auto& block : fn->blocks()) {
       for (auto& inst : block->insts()) {
-        if (inst->op() != ir::Op::kCall || inst->intrinsic != "ext_call") {
+        if (!ir::CallsIntrinsic(*inst, ir::Intrinsic::kExtCall)) {
           continue;
         }
         auto* slot = static_cast<ir::Constant*>(inst->operand(0));

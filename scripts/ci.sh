@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Full local CI: configure, build and test the `default` preset, then the
-# labelled suites and CLI end-to-end checks on the same build tree, then
-# perfbench's determinism test, then the `asan-ubsan` preset. Stops at the
-# first red step.
+# Full local CI: configure, build and test the `default` preset (warnings
+# are errors), then the labelled suites and CLI end-to-end checks on the
+# same build tree, then perfbench's determinism test, then the `asan-ubsan`
+# preset. Stops at the first red step.
 #
 # Usage: scripts/ci.sh [-j N]
 #   -j N   parallelism for builds and ctest (default: nproc)
@@ -28,7 +28,7 @@ step() {
 }
 
 step "configure+build: default"
-cmake --preset default
+cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build --preset default -j "$jobs"
 
 step "ctest: default"

@@ -27,16 +27,6 @@ int64_t NowNs() {
       .count();
 }
 
-// Mirrors check/derive.cc: registers the SysV ABI requires a callee to
-// preserve. The two lists must agree — the deriver keeps provenance across
-// calls for exactly these, and the target solver keeps value facts for the
-// same set.
-bool IsCalleeSavedGpr(const std::string& name) {
-  return name == "vr_rbx" || name == "vr_rbp" || name == "vr_rsp" ||
-         name == "vr_r12" || name == "vr_r13" || name == "vr_r14" ||
-         name == "vr_r15";
-}
-
 // Concrete feasible-value set of one i64 value. Join-semilattice ordered by
 // inclusion with an explicit top ("unbounded"); bottom is the empty set
 // (unreached code). Everything the solver cannot model goes to top, so a
@@ -287,9 +277,8 @@ class TargetSolver {
   }
 
   void CallEffect(State& state, const Instruction& call) const {
-    if (call.callee == nullptr && call.intrinsic != "ext_call" &&
-        call.intrinsic != "cfmiss" && call.intrinsic != "trap") {
-      return;  // engine intrinsics never write the virtual GPRs
+    if (!ir::IsCallBoundary(call)) {
+      return;
     }
     // Everything but the callee-saved GPRs is clobbered at a call boundary
     // (flags and vector state included). vr_rsp is preserved as a *pointer*
@@ -297,7 +286,7 @@ class TargetSolver {
     // the register comes back 8 above the stored value (the deriver models
     // the shift; a concrete value fact cannot, so it is dropped).
     for (auto it = state.globals.begin(); it != state.globals.end();) {
-      if (!IsCalleeSavedGpr(it->first->name()) ||
+      if (!ir::IsCalleeSavedGpr(it->first->name()) ||
           (call.callee != nullptr && it->first->name() == "vr_rsp")) {
         it = state.globals.erase(it);
       } else {
@@ -538,37 +527,27 @@ IcfResult AnalyzeIndirectControlFlow(const lift::LiftedProgram& program,
   std::vector<FnCover> covers;
 
   for (const auto& [entry, fn] : program.functions_by_entry) {
-    // Locate this function's cfmiss sites and any other uncovered block
-    // (mirrors the tier-1 IsUncovered test: kUnreachable or a cfmiss/trap
-    // intrinsic call makes a block uncovered).
+    // Locate this function's uncovered blocks and the cfmiss sites in them.
     std::vector<const Instruction*> miss_sites;
     FnCover cover;
     cover.entry = entry;
     cover.name = fn->name();
     for (const auto& b : fn->blocks()) {
-      bool uncovered = false;
+      if (!ir::IsUncovered(*b)) {
+        continue;
+      }
       uint64_t site_ta = 0;
       const Instruction* site_inst = nullptr;
       for (const auto& inst : b->insts()) {
-        if (inst->op() == Op::kUnreachable) {
-          uncovered = true;
-        } else if (inst->op() == Op::kCall && inst->callee == nullptr &&
-                   (inst->intrinsic == "cfmiss" ||
-                    inst->intrinsic == "trap")) {
-          uncovered = true;
-          if (inst->intrinsic == "cfmiss" && inst->num_operands() >= 2 &&
-              inst->operand(1)->is_const()) {
-            uint64_t ta = static_cast<uint64_t>(
-                static_cast<const ir::Constant*>(inst->operand(1))->value());
-            if (inventory.count(ta) != 0) {
-              site_ta = ta;
-              site_inst = inst.get();
-            }
+        if (ir::CallsIntrinsic(*inst, ir::Intrinsic::kCfmiss) &&
+            inst->num_operands() >= 2 && inst->operand(1)->is_const()) {
+          uint64_t ta = static_cast<uint64_t>(
+              static_cast<const ir::Constant*>(inst->operand(1))->value());
+          if (inventory.count(ta) != 0) {
+            site_ta = ta;
+            site_inst = inst.get();
           }
         }
-      }
-      if (!uncovered) {
-        continue;
       }
       if (site_inst == nullptr) {
         cover.provable = false;  // uncovered block elision cannot remove

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <optional>
 
+#include "src/check/derive.h"
+#include "src/ir/semantics.h"
 #include "src/support/strings.h"
 #include "src/vm/external.h"
 
@@ -19,40 +21,12 @@ using ir::Op;
 constexpr int kMaxPairs = 200;
 constexpr int kSpawnCap = 8;  // outstanding-spawn saturation
 
-const char* const kArgRegs[] = {"vr_rdi", "vr_rsi", "vr_rdx",
-                                "vr_rcx", "vr_r8",  "vr_r9"};
-
 struct Root {
   const Function* entry = nullptr;
   bool is_main = false;
   bool multi_instance = false;
   std::set<const Function*> reachable;
 };
-
-// Resolves an ext_call's name through the slot table.
-std::string ExtName(const Instruction& call,
-                    const std::vector<std::string>& externals) {
-  if (call.op() != Op::kCall || call.callee != nullptr ||
-      call.intrinsic != "ext_call" || call.num_operands() < 1 ||
-      !call.operand(0)->is_const()) {
-    return "";
-  }
-  int64_t slot = static_cast<const ir::Constant*>(call.operand(0))->value();
-  if (slot < 0 || static_cast<size_t>(slot) >= externals.size()) {
-    return "";
-  }
-  return externals[static_cast<size_t>(slot)];
-}
-
-// True when `inst` is a call that writes the virtual GPR globals — a guest
-// call or an engine dispatch (ext_call/cfmiss/trap). Mirrors
-// check::RegionDeriver::ApplyCallClobbers; engine intrinsics like parity or
-// pause never touch the GPRs.
-bool CallClobbersGprs(const Instruction& inst) {
-  return inst.op() == Op::kCall &&
-         (inst.callee != nullptr || inst.intrinsic == "ext_call" ||
-          inst.intrinsic == "cfmiss" || inst.intrinsic == "trap");
-}
 
 // Last value stored to virtual register `g` before `call` within its block.
 // Returns false when no store is found, the reaching store is non-constant,
@@ -76,7 +50,7 @@ bool ResolveRegBefore(const Instruction& call, const Global* g,
       } else {
         found = false;
       }
-    } else if (CallClobbersGprs(*inst)) {
+    } else if (ir::IsCallBoundary(*inst)) {
       // The argument registers this resolver is used for are all
       // caller-saved: a constant stored before an intervening call is stale
       // by the time `call` executes.
@@ -133,7 +107,7 @@ std::set<const Function*> Reachable(const Function* entry, bool& widened) {
         }
         if (inst->callee != nullptr) {
           work.push_back(inst->callee);
-        } else if (inst->intrinsic == "cfmiss") {
+        } else if (inst->intrinsic == ir::Intrinsic::kCfmiss) {
           widened = true;
         }
       }
@@ -215,7 +189,7 @@ LockFacts ComputeLocksets(const std::vector<Root>& roots,
                 break;
               }
               case Op::kCall: {
-                std::string name = ExtName(*inst, externals);
+                std::string name = check::ExternalName(*inst, externals);
                 uint64_t mutex = 0;
                 if (name == "pthread_mutex_lock") {
                   if (ResolveRegBefore(*inst, rdi, mutex)) {
@@ -294,10 +268,10 @@ std::set<const Function*> MaySpawnFunctions(
           }
           if (inst->callee != nullptr) {
             spawns = out.count(inst->callee) != 0;
-          } else if (inst->intrinsic == "cfmiss") {
+          } else if (inst->intrinsic == ir::Intrinsic::kCfmiss) {
             spawns = true;  // unknown callee: may reach a spawn
           } else {
-            spawns = ExtName(*inst, externals) == "pthread_create";
+            spawns = check::ExternalName(*inst, externals) == "pthread_create";
           }
         }
       }
@@ -322,7 +296,7 @@ SpawnFacts ComputeSpawnWindow(const Function* main,
   for (const auto& b : main->blocks()) {
     for (const auto& inst : b->insts()) {
       if (inst->op() == Op::kCall &&
-          ExtName(*inst, externals) == "pthread_join") {
+          check::ExternalName(*inst, externals) == "pthread_join") {
         join_blocks.push_back(b.get());
         break;
       }
@@ -353,7 +327,7 @@ SpawnFacts ComputeSpawnWindow(const Function* main,
           changed = true;
         }
         if (inst->op() == Op::kCall) {
-          std::string name = ExtName(*inst, externals);
+          std::string name = check::ExternalName(*inst, externals);
           if (name == "pthread_create") {
             cur = std::min(cur + 1, kSpawnCap);
           } else if (name == "pthread_join") {
@@ -369,7 +343,7 @@ SpawnFacts ComputeSpawnWindow(const Function* main,
             if (cur > 0) {
               window_seeds.insert(inst->callee);
             }
-          } else if (inst->intrinsic == "cfmiss") {
+          } else if (inst->intrinsic == ir::Intrinsic::kCfmiss) {
             cur = kSpawnCap;  // unknown callee: may spawn
           }
           // gomp_parallel joins its children internally: no change.
@@ -493,12 +467,12 @@ RaceReport DetectRaces(
     (void)addr;
     for (const auto& b : fn->blocks()) {
       for (const auto& inst : b->insts()) {
-        std::string name = ExtName(*inst, externals);
+        std::string name = check::ExternalName(*inst, externals);
         if (name.empty() || !vm::IsThreadSpawnExternal(name)) {
           continue;
         }
         int arg = vm::ThreadEntryArgIndex(name);
-        const Global* g = program.module->GetGlobal(kArgRegs[arg]);
+        const Global* g = program.module->GetGlobal(ir::kArgGprs[arg]);
         uint64_t entry_addr = 0;
         const Function* entry_fn = nullptr;
         if (ResolveRegBefore(*inst, g, entry_addr)) {

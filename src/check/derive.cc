@@ -1,5 +1,6 @@
 #include "src/check/derive.h"
 
+#include "src/ir/semantics.h"
 #include "src/support/strings.h"
 
 namespace polynima::check {
@@ -12,15 +13,6 @@ using ir::Global;
 using ir::Instruction;
 using ir::Op;
 using ir::Value;
-
-// Registers the SysV ABI requires a callee to preserve. The lifter's guest
-// calls and the engine's external dispatch both honor this: anything else is
-// clobbered at a call boundary.
-bool IsCalleeSavedGpr(const std::string& name) {
-  return name == "vr_rbx" || name == "vr_rbp" || name == "vr_rsp" ||
-         name == "vr_r12" || name == "vr_r13" || name == "vr_r14" ||
-         name == "vr_r15";
-}
 
 bool IsGpr(const std::string& name) {
   return name.size() > 3 && name.compare(0, 3, "vr_") == 0;
@@ -69,17 +61,17 @@ RegionDeriver::RegionDeriver(const Function& f,
   Solve();
 }
 
-std::string RegionDeriver::ExternalName(const Instruction& call) const {
-  if (call.op() != Op::kCall || call.callee != nullptr ||
-      call.intrinsic != "ext_call" || call.num_operands() < 1 ||
-      !call.operand(0)->is_const()) {
+std::string ExternalName(const Instruction& call,
+                         const std::vector<std::string>& externals) {
+  if (!ir::CallsIntrinsic(call, ir::Intrinsic::kExtCall) ||
+      call.num_operands() < 1 || !call.operand(0)->is_const()) {
     return "";
   }
   int64_t slot = static_cast<const ir::Constant*>(call.operand(0))->value();
-  if (slot < 0 || static_cast<size_t>(slot) >= externals_.size()) {
+  if (slot < 0 || static_cast<size_t>(slot) >= externals.size()) {
     return "";
   }
-  return externals_[static_cast<size_t>(slot)];
+  return externals[static_cast<size_t>(slot)];
 }
 
 const Provenance& RegionDeriver::ValueOf(const Value* v) const {
@@ -116,16 +108,13 @@ static Provenance DefaultGlobal(const Function& f, const Global* g) {
 
 void RegionDeriver::ApplyCallClobbers(const Instruction& call,
                                       GlobalState& state) const {
-  if (call.callee == nullptr && call.intrinsic != "ext_call" &&
-      call.intrinsic != "cfmiss" && call.intrinsic != "trap") {
-    // Engine intrinsics (parity, pause, SIMD helpers, global_lock/unlock)
-    // never write the virtual GPRs.
+  if (!ir::IsCallBoundary(call)) {
     return;
   }
   Provenance other;
   other.other = true;
   for (auto& [g, p] : state) {
-    if (IsGpr(g->name()) && !IsCalleeSavedGpr(g->name())) {
+    if (IsGpr(g->name()) && !ir::IsCalleeSavedGpr(g->name())) {
       p = other;
     }
   }
@@ -416,10 +405,6 @@ Provenance RegionDeriver::GlobalBefore(const Instruction& inst,
 
 namespace {
 
-// SysV integer argument registers, in call order.
-const char* const kEscapeArgRegs[] = {"vr_rdi", "vr_rsi", "vr_rdx",
-                                      "vr_rcx", "vr_r8",  "vr_r9"};
-
 void MarkStack(EscapeFacts& facts, const std::string& reason) {
   if (!facts.stack_escaped) {
     facts.stack_escaped = true;
@@ -460,7 +445,7 @@ EscapeFacts ComputeEscapeFacts(const Function& f, const ir::Module& m,
   std::set<const Instruction*> spilled_to_stack;
 
   std::vector<const Global*> arg_regs;
-  for (const char* name : kEscapeArgRegs) {
+  for (const char* name : ir::kArgGprs) {
     arg_regs.push_back(m.GetGlobal(name));
   }
   const Global* rax = m.GetGlobal("vr_rax");
@@ -507,9 +492,10 @@ EscapeFacts ComputeEscapeFacts(const Function& f, const ir::Module& m,
           break;
         }
         case Op::kCall: {
-          if (inst->callee == nullptr && inst->intrinsic != "ext_call" &&
-              inst->intrinsic != "cfmiss") {
-            break;  // engine intrinsics take explicit operands, not GPRs
+          if (inst->callee == nullptr &&
+              inst->intrinsic != ir::Intrinsic::kExtCall &&
+              inst->intrinsic != ir::Intrinsic::kCfmiss) {
+            break;  // other intrinsics take explicit operands, not GPRs
           }
           // Call-boundary conservatism: anything in an argument register
           // may be retained by the callee (guest or external) or handed to

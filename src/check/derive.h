@@ -80,6 +80,11 @@ struct Provenance {
 // heap object: malloc, calloc, realloc.
 bool IsAllocatorExternal(const std::string& name);
 
+// Resolves an ext_call instruction to its external's name ("" when `call` is
+// no ext_call, or its slot is not constant or out of table range).
+std::string ExternalName(const ir::Instruction& call,
+                         const std::vector<std::string>& externals);
+
 class RegionDeriver {
  public:
   // `externals` is the image's slot -> name table (lift::LiftedProgram::
@@ -102,9 +107,9 @@ class RegionDeriver {
     return alloc_sites_;
   }
 
-  // Resolves an ext_call instruction to its external's name ("" when the
-  // slot is not constant or out of table range).
-  std::string ExternalName(const ir::Instruction& call) const;
+  std::string ExternalName(const ir::Instruction& call) const {
+    return check::ExternalName(call, externals_);
+  }
 
  private:
   using GlobalState = std::map<const ir::Global*, Provenance>;

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/ir/ir.h"
+#include "src/ir/semantics.h"
 #include "src/sched/scheduler.h"
 #include "src/support/rng.h"
 
@@ -160,6 +161,14 @@ struct NextOp {
   bool yield_hint = false;  // pause intrinsic: deprioritize immediately
   sched::PointKind kind = sched::PointKind::kDispatch;
 };
+
+// The scheduler's view of a call to an intrinsic of class `sched`.
+inline NextOp IntrinsicNextOp(ir::SchedClass sched) {
+  const bool visible = sched != ir::SchedClass::kNone;
+  return {visible, sched == ir::SchedClass::kExternal,
+          sched == ir::SchedClass::kYield,
+          visible ? sched::PointKind::kExternal : sched::PointKind::kDispatch};
+}
 
 class Backend {
  public:

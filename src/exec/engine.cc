@@ -581,22 +581,7 @@ NextOp Engine::ClassifyNextOp(const Thread& t) const {
       if (inst.callee != nullptr) {
         return op;  // lifted-to-lifted call: no external visibility
       }
-      if (inst.intrinsic == "ext_call" || inst.intrinsic == "global_lock" ||
-          inst.intrinsic == "global_unlock") {
-        op.visible = true;
-        op.mutates = true;  // may touch memory, locks or thread state
-        op.kind = sched::PointKind::kExternal;
-        return op;
-      }
-      if (inst.intrinsic == "pause") {
-        // Spin-wait hint: a preemption point that also tells the strategy
-        // to deprioritize the spinner.
-        op.visible = true;
-        op.yield_hint = true;
-        op.kind = sched::PointKind::kExternal;
-        return op;
-      }
-      return op;
+      return IntrinsicNextOp(ir::InfoOf(inst.intrinsic).sched);
     default:
       return op;
   }

@@ -7,6 +7,8 @@
 // runs pay no per-instruction null checks in the dispatch loop.
 #include "src/exec/interp.h"
 
+#include <functional>
+
 #include "src/exec/engine.h"
 #include "src/exec/tier1.h"
 #include "src/ir/semantics.h"
@@ -17,30 +19,20 @@ namespace polynima::exec {
 
 using ir::BasicBlock;
 using ir::Instruction;
+using ir::Intrinsic;
 using ir::Op;
 
 namespace {
 
 // Two independent 32-bit lanes of a packed SSE op (paddd/psubd/pmulld).
-uint64_t PackedLanes32(uint64_t a, uint64_t b, char op) {
-  uint32_t a0 = static_cast<uint32_t>(a), a1 = static_cast<uint32_t>(a >> 32);
-  uint32_t b0 = static_cast<uint32_t>(b), b1 = static_cast<uint32_t>(b >> 32);
-  uint32_t r0, r1;
-  switch (op) {
-    case '+':
-      r0 = a0 + b0;
-      r1 = a1 + b1;
-      break;
-    case '-':
-      r0 = a0 - b0;
-      r1 = a1 - b1;
-      break;
-    default:
-      r0 = a0 * b0;
-      r1 = a1 * b1;
-      break;
-  }
-  return static_cast<uint64_t>(r0) | (static_cast<uint64_t>(r1) << 32);
+template <typename LaneOp>
+uint64_t PackedLanes32(uint64_t a, uint64_t b, LaneOp op) {
+  auto lane = [&](int shift) {
+    return uint64_t{op(static_cast<uint32_t>(a >> shift),
+                       static_cast<uint32_t>(b >> shift))}
+           << shift;
+  };
+  return lane(0) | lane(32);
 }
 
 }  // namespace
@@ -302,7 +294,6 @@ template bool Engine::StepInstructionImpl<false>(Thread& t);
 
 bool Engine::HandleIntrinsic(Thread& t, size_t frame_index,
                              const Instruction& inst) {
-  const std::string& name = inst.intrinsic;
   // Re-fetch the frame on every use: nested dispatch may reallocate.
   auto frame = [&]() -> Frame& { return t.stack[frame_index]; };
   auto set_result = [&](uint64_t v) {
@@ -311,117 +302,107 @@ bool Engine::HandleIntrinsic(Thread& t, size_t frame_index,
     }
   };
   Frame& f = frame();  // valid until a nested dispatch occurs
+  auto arg = [&](int i) { return Eval(f, inst.operand(i)); };
+  // A packed lane op. The simd_* forms (first-class SIMD translation, §5.3)
+  // lower back to one packed instruction, so they cost like one.
+  auto lanes = [&](auto op, uint64_t cost) {
+    set_result(PackedLanes32(arg(0), arg(1), op));
+    t.clock += cost;
+    return true;
+  };
 
-  if (name == "ext_call") {
-    uint64_t slot = Eval(f, inst.operand(0));
-    if (slot >= program_.externals.size()) {
-      Fault(StrCat("ext_call to unmapped slot ", slot));
-      return false;
-    }
-    t.clock += costs_.ext_marshal;
-    options_.obs.Add(obs::Counter::kExecExtCalls);
-    vm::ExtResult result = library_->Call(program_.externals[slot], *this);
-    switch (result.status) {
-      case vm::ExtStatus::kDone:
-        set_result(0);
-        return true;
-      case vm::ExtStatus::kBlock:
-        retry_pending_ = true;
-        return true;
-      case vm::ExtStatus::kFault:
-        Fault(StrCat("external ", program_.externals[slot], ": ",
-                     result.fault_message));
+  switch (inst.intrinsic) {
+    case Intrinsic::kExtCall: {
+      uint64_t slot = arg(0);
+      if (slot >= program_.externals.size()) {
+        Fault(StrCat("ext_call to unmapped slot ", slot));
         return false;
-    }
-    return false;
-  }
-  if (name == "cfmiss") {
-    uint64_t target = Eval(f, inst.operand(0));
-    uint64_t transfer = Eval(f, inst.operand(1));
-    miss_ = MissInfo{transfer, target};
-    Fault(StrCat("control flow miss: ", HexString(transfer), " -> ",
-                 HexString(target)));
-    return false;
-  }
-  if (name == "trap") {
-    Fault(StrCat("lifted trap at ",
-                 HexString(Eval(f, inst.operand(0)))));
-    return false;
-  }
-  if (name == "parity") {
-    uint64_t v = Eval(f, inst.operand(0));
-    set_result((__builtin_popcountll(v & 0xff) % 2) == 0 ? 1 : 0);
-    t.clock += 1;
-    return true;
-  }
-  if (name == "pause") {
-    t.clock += 4;
-    set_result(0);
-    return true;
-  }
-  if (name == "helper_paddd" || name == "helper_psubd" ||
-      name == "helper_pmulld") {
-    uint64_t a = Eval(f, inst.operand(0));
-    uint64_t b = Eval(f, inst.operand(1));
-    char op = name == "helper_paddd" ? '+' : name == "helper_psubd" ? '-' : '*';
-    set_result(PackedLanes32(a, b, op));
-    t.clock += costs_.helper;
-    return true;
-  }
-  if (name == "simd_paddd" || name == "simd_psubd" || name == "simd_pmulld") {
-    // First-class SIMD translation (§5.3): lowers back to one packed
-    // instruction, so it costs like one.
-    uint64_t a = Eval(f, inst.operand(0));
-    uint64_t b = Eval(f, inst.operand(1));
-    char op = name == "simd_paddd" ? '+' : name == "simd_psubd" ? '-' : '*';
-    set_result(PackedLanes32(a, b, op));
-    t.clock += costs_.alu;
-    return true;
-  }
-  if (name == "helper_mulh") {
-    __int128 full = static_cast<__int128>(
-                        static_cast<int64_t>(Eval(f, inst.operand(0)))) *
-                    static_cast<__int128>(
-                        static_cast<int64_t>(Eval(f, inst.operand(1))));
-    set_result(static_cast<uint64_t>(full >> 64));
-    t.clock += costs_.helper;
-    return true;
-  }
-  if (name == "helper_sdiv128" || name == "helper_srem128") {
-    __int128 dividend =
-        (static_cast<__int128>(static_cast<int64_t>(Eval(f, inst.operand(0))))
-         << 64) |
-        static_cast<__int128>(Eval(f, inst.operand(1)));
-    int64_t divisor = static_cast<int64_t>(Eval(f, inst.operand(2)));
-    if (divisor == 0) {
-      Fault(ir::kDivByZeroMessage);
+      }
+      t.clock += costs_.ext_marshal;
+      options_.obs.Add(obs::Counter::kExecExtCalls);
+      vm::ExtResult result = library_->Call(program_.externals[slot], *this);
+      switch (result.status) {
+        case vm::ExtStatus::kDone:
+          set_result(0);
+          return true;
+        case vm::ExtStatus::kBlock:
+          retry_pending_ = true;
+          return true;
+        case vm::ExtStatus::kFault:
+          Fault(StrCat("external ", program_.externals[slot], ": ",
+                       result.fault_message));
+          return false;
+      }
       return false;
     }
-    set_result(static_cast<uint64_t>(name == "helper_sdiv128"
-                                         ? dividend / divisor
-                                         : dividend % divisor));
-    t.clock += costs_.helper + 20;
-    return true;
-  }
-  if (name == "global_lock") {
-    if (global_lock_owner_ != -1 && global_lock_owner_ != t.id) {
-      retry_pending_ = true;
-      t.clock += 10;
+    case Intrinsic::kCfmiss: {
+      uint64_t target = arg(0);
+      uint64_t transfer = arg(1);
+      miss_ = MissInfo{transfer, target};
+      Fault(StrCat("control flow miss: ", HexString(transfer), " -> ",
+                   HexString(target)));
+      return false;
+    }
+    case Intrinsic::kTrap:
+      Fault(StrCat("lifted trap at ", HexString(arg(0))));
+      return false;
+    case Intrinsic::kParity:
+      set_result((__builtin_popcountll(arg(0) & 0xff) % 2) == 0 ? 1 : 0);
+      t.clock += 1;
+      return true;
+    case Intrinsic::kPause:
+      t.clock += 4;
+      set_result(0);
+      return true;
+    case Intrinsic::kHelperPaddd:
+      return lanes(std::plus<uint32_t>(), costs_.helper);
+    case Intrinsic::kHelperPsubd:
+      return lanes(std::minus<uint32_t>(), costs_.helper);
+    case Intrinsic::kHelperPmulld:
+      return lanes(std::multiplies<uint32_t>(), costs_.helper);
+    case Intrinsic::kSimdPaddd:
+      return lanes(std::plus<uint32_t>(), costs_.alu);
+    case Intrinsic::kSimdPsubd:
+      return lanes(std::minus<uint32_t>(), costs_.alu);
+    case Intrinsic::kSimdPmulld:
+      return lanes(std::multiplies<uint32_t>(), costs_.alu);
+    case Intrinsic::kHelperMulh: {
+      __int128 full = static_cast<__int128>(static_cast<int64_t>(arg(0))) *
+                      static_cast<__int128>(static_cast<int64_t>(arg(1)));
+      set_result(static_cast<uint64_t>(full >> 64));
+      t.clock += costs_.helper;
       return true;
     }
-    global_lock_owner_ = t.id;
-    set_result(0);
-    t.clock += 8;
-    return true;
+    case Intrinsic::kHelperSdiv128:
+    case Intrinsic::kHelperSrem128: {
+      const ir::BinaryResult r =
+          ir::SDiv128(arg(0), arg(1), arg(2),
+                      inst.intrinsic == Intrinsic::kHelperSrem128);
+      if (!r.ok()) {
+        Fault(ir::DivFaultMessage(r.fault));
+        return false;
+      }
+      set_result(r.value);
+      t.clock += costs_.helper + 20;
+      return true;
+    }
+    case Intrinsic::kGlobalLock:
+      if (global_lock_owner_ != -1 && global_lock_owner_ != t.id) {
+        retry_pending_ = true;
+        t.clock += 10;
+        return true;
+      }
+      global_lock_owner_ = t.id;
+      set_result(0);
+      t.clock += 8;
+      return true;
+    case Intrinsic::kGlobalUnlock:
+      global_lock_owner_ = -1;
+      set_result(0);
+      t.clock += 8;
+      return true;
   }
-  if (name == "global_unlock") {
-    global_lock_owner_ = -1;
-    set_result(0);
-    t.clock += 8;
-    return true;
-  }
-  Fault("unknown intrinsic: " + name);
-  return false;
+  POLY_UNREACHABLE("intrinsic out of range");
 }
 
 }  // namespace polynima::exec

@@ -53,22 +53,6 @@ const char* DeoptReasonName(DeoptReason reason) {
 
 namespace {
 
-// Blocks the static frontier could not prove reachable-and-decoded: lifted
-// cfmiss/trap stubs and unreachable terminators. Translated code never
-// enters them — branches there deoptimize.
-bool IsUncovered(const BasicBlock* b) {
-  for (const auto& inst : b->insts()) {
-    if (inst->op() == Op::kUnreachable) {
-      return true;
-    }
-    if (inst->op() == Op::kCall && inst->callee == nullptr &&
-        (inst->intrinsic == "cfmiss" || inst->intrinsic == "trap")) {
-      return true;
-    }
-  }
-  return false;
-}
-
 // Exactly one operand of `user` is `v`.
 bool UsesExactlyOnce(const Instruction* user, const Value* v) {
   int uses = 0;
@@ -137,7 +121,7 @@ bool Tier1Backend::Translate(FuncInfo* info) {
   std::set<const BasicBlock*> covered;
   size_t max_phis = 0;
   for (const auto& bp : fn->blocks()) {
-    if (IsUncovered(bp.get())) {
+    if (ir::IsUncovered(*bp)) {
       continue;
     }
     covered.insert(bp.get());
@@ -495,17 +479,7 @@ bool Tier1Backend::Translate(FuncInfo* info) {
             ti.jitter = 1;
           } else {
             ti.op = TOp::kIntrinsic;
-            // extra: controlled-scheduler visibility class, mirroring the
-            // interpreter's ClassifyNextOp.
-            if (inst.intrinsic == "ext_call" ||
-                inst.intrinsic == "global_lock" ||
-                inst.intrinsic == "global_unlock") {
-              ti.extra = 1;
-            } else if (inst.intrinsic == "pause") {
-              ti.extra = 2;
-            } else {
-              ti.extra = 0;
-            }
+            ti.extra = static_cast<uint8_t>(ir::InfoOf(inst.intrinsic).sched);
             ti.cost = 0;  // intrinsics charge their own cost
             ti.jitter = 1;
           }
@@ -776,16 +750,7 @@ NextOp Tier1Backend::Classify(const Thread& t, const Frame& f) const {
       op.kind = sched::PointKind::kStore;
       return op;
     case TOp::kIntrinsic:
-      if (ti.extra == 1) {
-        op.visible = true;
-        op.mutates = true;
-        op.kind = sched::PointKind::kExternal;
-      } else if (ti.extra == 2) {
-        op.visible = true;
-        op.yield_hint = true;
-        op.kind = sched::PointKind::kExternal;
-      }
-      return op;
+      return IntrinsicNextOp(static_cast<ir::SchedClass>(ti.extra));
     default:
       return op;  // ALU, copies, branches, call/ret: thread-private
   }

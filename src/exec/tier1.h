@@ -78,7 +78,8 @@ enum class TOp : uint8_t {
   kSwitch,  // a = value slot, aux = SwitchInfo index
   kRet,     // a = value slot or kNoDst for void
   kCall,    // aux = call-pool index (pre-resolved FuncInfo*)
-  kIntrinsic,  // anchored: executed by the engine's interpreter helper
+  kIntrinsic,  // anchored: executed by the engine's interpreter helper;
+               // extra = ir::SchedClass
   kCopy,       // v[dst] = v[a] (edge-stub phi moves)
   kDeopt,      // extra = DeoptReason; transfer to tier 0 at the anchor
   // Superinstructions.

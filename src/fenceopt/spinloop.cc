@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "src/ir/semantics.h"
 #include "src/lift/lifter.h"
 #include "src/opt/passes.h"
 #include "src/support/strings.h"
@@ -236,10 +237,7 @@ class Classifier {
       case Op::kCmpXchg:
         return Influence::kExternal;
       case Op::kCall: {
-        if (inst->callee == nullptr &&
-            (inst->intrinsic == "parity" ||
-             StartsWith(inst->intrinsic, "helper_") ||
-             StartsWith(inst->intrinsic, "simd_"))) {
+        if (inst->callee == nullptr && ir::InfoOf(inst->intrinsic).pure) {
           Influence r = Influence::kLoopConstant;
           for (int i = 0; i < inst->num_operands(); ++i) {
             r = Max(r, ClassifyValue(inst->operand(i), chase_path, depth + 1));

@@ -123,10 +123,10 @@ class IRBuilder {
     }
     return block_->Append(std::move(inst));
   }
-  Instruction* CallIntrinsic(const std::string& name,
+  Instruction* CallIntrinsic(Intrinsic intrinsic,
                              const std::vector<Value*>& args) {
     auto inst = std::make_unique<Instruction>(Op::kCall);
-    inst->intrinsic = name;
+    inst->intrinsic = intrinsic;
     for (Value* a : args) {
       inst->AddOperand(a);
     }

@@ -164,7 +164,7 @@ enum class Op : uint8_t {
   kSwitch,  // operand: value; targets: default + (case_values[i] -> blocks)
   kRet,     // operands: [] or [value]
   kUnreachable,
-  // Calls: direct (callee function) or intrinsic (by name).
+  // Calls: direct (callee function) or intrinsic (Intrinsic field).
   kCall,
   kPhi,
   // Concurrency.
@@ -189,6 +189,27 @@ enum class Pred : uint8_t {
 enum class FenceOrder : uint8_t { kAcquire, kRelease, kSeqCst };
 
 enum class RmwOp : uint8_t { kAdd, kSub, kAnd, kOr, kXor, kXchg };
+
+// The engine intrinsics a callee-less kCall invokes, one per intrinsic the
+// lifter emits. kIntrinsics in src/ir/semantics.h holds a row for each.
+enum class Intrinsic : uint8_t {
+  kExtCall,
+  kCfmiss,
+  kTrap,
+  kParity,
+  kPause,
+  kHelperPaddd,
+  kHelperPsubd,
+  kHelperPmulld,
+  kSimdPaddd,
+  kSimdPsubd,
+  kSimdPmulld,
+  kHelperMulh,
+  kHelperSdiv128,
+  kHelperSrem128,
+  kGlobalLock,
+  kGlobalUnlock,
+};
 
 // Machine-checkable justification for a memory access lifted WITHOUT its
 // x86-TSO ordering fence (§3.3.4). The TSO checker (src/check) re-derives
@@ -235,8 +256,8 @@ class Instruction : public Value {
   Global* global = nullptr;          // kGlobalLoad/kGlobalStore
   FenceOrder fence_order = FenceOrder::kSeqCst;
   RmwOp rmw_op = RmwOp::kAdd;
+  Intrinsic intrinsic = Intrinsic::kExtCall;  // kCall, when callee is null
   Function* callee = nullptr;        // kCall (direct)
-  std::string intrinsic;             // kCall (engine intrinsic, when no callee)
   std::vector<BasicBlock*> targets;  // kBr/kSwitch successors
   std::vector<int64_t> case_values;  // kSwitch (parallel to targets[1..])
   std::vector<BasicBlock*> phi_blocks;  // kPhi incoming blocks

@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "src/ir/semantics.h"
 #include "src/support/strings.h"
 
 namespace polynima::ir {
@@ -58,7 +59,7 @@ void PrintInst(std::string& out, const Instruction& inst) {
   }
   if (inst.op() == Op::kCall) {
     out += inst.callee != nullptr ? StrCat(" @", inst.callee->name())
-                                  : StrCat(" !", inst.intrinsic);
+                                  : StrCat(" !", InfoOf(inst.intrinsic).name);
   }
   for (int i = 0; i < inst.num_operands(); ++i) {
     out += i == 0 ? " " : ", ";

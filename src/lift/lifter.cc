@@ -22,6 +22,7 @@ using ir::FenceOrder;
 using ir::Function;
 using ir::Global;
 using ir::Instruction;
+using ir::Intrinsic;
 using ir::IRBuilder;
 using ir::Pred;
 using ir::RmwOp;
@@ -53,12 +54,12 @@ struct SharedState {
   const LiftOptions& options;
   ir::Module* module;
 
-  Global* vr[x86::kNumGprs];
-  Global* fl[x86::kNumFlags];
-  Global* xmm_lo[x86::kNumXmms];
-  Global* xmm_hi[x86::kNumXmms];
+  Global* vr[x86::kNumGprs] = {};
+  Global* fl[x86::kNumFlags] = {};
+  Global* xmm_lo[x86::kNumXmms] = {};
+  Global* xmm_hi[x86::kNumXmms] = {};
 
-  std::map<uint64_t, Function*> functions_by_entry;
+  std::map<uint64_t, Function*> functions_by_entry = {};
 };
 
 void CreateGlobals(SharedState& s) {
@@ -323,7 +324,7 @@ class FunctionLifter {
   void SetZSP(Value* res_masked, int size) {
     SetFlag(kZf, b_.ICmp(Pred::kEq, res_masked, C(0)));
     SetFlag(kSf, SignBitOf(res_masked, size));
-    SetFlag(kPf, b_.CallIntrinsic("parity", {res_masked}));
+    SetFlag(kPf, b_.CallIntrinsic(Intrinsic::kParity, {res_masked}));
   }
 
   // a, b, res must already be masked to `size`.
@@ -461,7 +462,7 @@ class FunctionLifter {
   }
 
   void EmitCfMiss(Value* target, uint64_t transfer_address) {
-    b_.CallIntrinsic("cfmiss",
+    b_.CallIntrinsic(Intrinsic::kCfmiss,
                      {target, C(static_cast<int64_t>(transfer_address))});
     b_.Unreachable();
   }
@@ -523,7 +524,7 @@ class FunctionLifter {
       std::vector<uint8_t> bytes = s_.image.ReadBytes(addr, 16);
       auto inst_or = x86::Decode(bytes, addr);
       if (!inst_or.ok()) {
-        b_.CallIntrinsic("trap", {C(static_cast<int64_t>(addr))});
+        b_.CallIntrinsic(Intrinsic::kTrap, {C(static_cast<int64_t>(addr))});
         b_.Unreachable();
         return Status::Ok();
       }
@@ -645,7 +646,7 @@ class FunctionLifter {
       }
 
       case TermKind::kExternalCall: {
-        b_.CallIntrinsic("ext_call",
+        b_.CallIntrinsic(Intrinsic::kExtCall,
                          {C(static_cast<int64_t>(binfo.external_slot))});
         BranchTo(binfo.fallthrough);
         return;
@@ -738,7 +739,8 @@ class FunctionLifter {
       }
 
       case TermKind::kTrap:
-        b_.CallIntrinsic("trap", {C(static_cast<int64_t>(binfo.term_address))});
+        b_.CallIntrinsic(Intrinsic::kTrap,
+                         {C(static_cast<int64_t>(binfo.term_address))});
         b_.Unreachable();
         return;
     }
@@ -753,7 +755,7 @@ class FunctionLifter {
       case Mnemonic::kEndbr64:  // landing-pad marker: architecturally a nop
         return Status::Ok();
       case Mnemonic::kPause:
-        b_.CallIntrinsic("pause", {});
+        b_.CallIntrinsic(Intrinsic::kPause, {});
         return Status::Ok();
 
       case Mnemonic::kMov: {
@@ -879,7 +881,7 @@ class FunctionLifter {
           ovf = b_.ICmp(Pred::kNe, full, SExtVal(res, size));
         } else {
           res = b_.Mul(a, bb);
-          Value* hi = b_.CallIntrinsic("helper_mulh", {a, bb});
+          Value* hi = b_.CallIntrinsic(Intrinsic::kHelperMulh, {a, bb});
           ovf = b_.ICmp(Pred::kNe, hi, b_.AShr(res, C(63)));
         }
         SetFlag(kCf, ovf);
@@ -894,8 +896,10 @@ class FunctionLifter {
         if (size == 8) {
           Value* hi = ReadReg(Reg::kRdx, 8);
           Value* lo = ReadReg(Reg::kRax, 8);
-          Value* q = b_.CallIntrinsic("helper_sdiv128", {hi, lo, divisor});
-          Value* r = b_.CallIntrinsic("helper_srem128", {hi, lo, divisor});
+          Value* q =
+              b_.CallIntrinsic(Intrinsic::kHelperSdiv128, {hi, lo, divisor});
+          Value* r =
+              b_.CallIntrinsic(Intrinsic::kHelperSrem128, {hi, lo, divisor});
           WriteReg(Reg::kRax, 8, q);
           WriteReg(Reg::kRdx, 8, r);
         } else {
@@ -948,7 +952,7 @@ class FunctionLifter {
                                b_.ICmp(Pred::kEq, res, C(0))));
         SetFlag(kSf, b_.Select(is_zero, GetFlag(kSf), SignBitOf(res, size)));
         SetFlag(kPf, b_.Select(is_zero, GetFlag(kPf),
-                               b_.CallIntrinsic("parity", {res})));
+                               b_.CallIntrinsic(Intrinsic::kParity, {res})));
         SetFlag(kOf, b_.Select(is_zero, GetFlag(kOf), C(0)));
         WriteOperand(inst, 0, size, final_res);
         return Status::Ok();
@@ -1083,14 +1087,16 @@ class FunctionLifter {
             // Packed 32-bit lanes: QEMU-helper-style emulation calls by
             // default; native SIMD intrinsics with first-class translation
             // (§5.3).
-            const char* base = inst.mnemonic == Mnemonic::kPaddd ? "paddd"
-                               : inst.mnemonic == Mnemonic::kPsubd ? "psubd"
-                                                                   : "pmulld";
-            std::string name =
-                (s_.options.first_class_simd ? "simd_" : "helper_") +
-                std::string(base);
-            b_.GStore(dlo, b_.CallIntrinsic(name, {a_lo, src_lo}));
-            b_.GStore(dhi, b_.CallIntrinsic(name, {a_hi, src_hi}));
+            const bool simd = s_.options.first_class_simd;
+            const Intrinsic lanes =
+                inst.mnemonic == Mnemonic::kPaddd
+                    ? (simd ? Intrinsic::kSimdPaddd : Intrinsic::kHelperPaddd)
+                : inst.mnemonic == Mnemonic::kPsubd
+                    ? (simd ? Intrinsic::kSimdPsubd : Intrinsic::kHelperPsubd)
+                    : (simd ? Intrinsic::kSimdPmulld
+                            : Intrinsic::kHelperPmulld);
+            b_.GStore(dlo, b_.CallIntrinsic(lanes, {a_lo, src_lo}));
+            b_.GStore(dhi, b_.CallIntrinsic(lanes, {a_hi, src_hi}));
             break;
           }
         }
@@ -1149,11 +1155,11 @@ class FunctionLifter {
       return Status::Ok();
     }
     if (s_.options.atomics == LiftOptions::AtomicsMode::kNaiveGlobalLock) {
-      b_.CallIntrinsic("global_lock", {});
+      b_.CallIntrinsic(Intrinsic::kGlobalLock, {});
       Value* old = b_.Load(size, addr);
       Value* res = ApplyRmw(inst.mnemonic, old, operand, size);
       b_.Store(size, addr, res);
-      b_.CallIntrinsic("global_unlock", {});
+      b_.CallIntrinsic(Intrinsic::kGlobalUnlock, {});
       SetRmwFlags(inst.mnemonic, old, operand, size);
       return Status::Ok();
     }
@@ -1221,10 +1227,10 @@ class FunctionLifter {
       return Status::Ok();
     }
     if (s_.options.atomics == LiftOptions::AtomicsMode::kNaiveGlobalLock) {
-      b_.CallIntrinsic("global_lock", {});
+      b_.CallIntrinsic(Intrinsic::kGlobalLock, {});
       Value* old = b_.Load(size, addr);
       b_.Store(size, addr, v);
-      b_.CallIntrinsic("global_unlock", {});
+      b_.CallIntrinsic(Intrinsic::kGlobalUnlock, {});
       WriteOperand(inst, 1, size, old);
       return Status::Ok();
     }
@@ -1241,10 +1247,10 @@ class FunctionLifter {
       Value* addr = EffAddr(inst.ops[0].mem, inst);
       Value* old;
       if (s_.options.atomics == LiftOptions::AtomicsMode::kNaiveGlobalLock) {
-        b_.CallIntrinsic("global_lock", {});
+        b_.CallIntrinsic(Intrinsic::kGlobalLock, {});
         old = b_.Load(size, addr);
         b_.Store(size, addr, Mask(b_.Add(old, operand), size));
-        b_.CallIntrinsic("global_unlock", {});
+        b_.CallIntrinsic(Intrinsic::kGlobalUnlock, {});
       } else {
         old = b_.AtomicRmw(RmwOp::kAdd, size, addr, operand);
       }
@@ -1282,13 +1288,13 @@ class FunctionLifter {
     bool use_lock = inst.ops[0].is_mem() &&
                     s_.options.atomics == LiftOptions::AtomicsMode::kNaiveGlobalLock;
     if (use_lock) {
-      b_.CallIntrinsic("global_lock", {});
+      b_.CallIntrinsic(Intrinsic::kGlobalLock, {});
     }
     Value* current = ReadOperand(inst, 0, size);
     Value* equal = b_.ICmp(Pred::kEq, current, acc);
     WriteOperand(inst, 0, size, b_.Select(equal, desired, current));
     if (use_lock) {
-      b_.CallIntrinsic("global_unlock", {});
+      b_.CallIntrinsic(Intrinsic::kGlobalUnlock, {});
     }
     SetSubFlags(acc, current, Mask(b_.Sub(acc, current), size), size);
     WriteReg(Reg::kRax, size, b_.Select(equal, acc, current));

@@ -22,9 +22,8 @@
 //    Stack-locality = address derived from vr_rsp (or the frame pointer when
 //    the function establishes one with `mov rbp, rsp`).
 //
-// Engine intrinsics emitted: ext_call, cfmiss, trap, parity, pause,
-// helper_paddd, helper_psubd, helper_pmulld, helper_mulh, helper_sdiv128,
-// helper_srem128, global_lock, global_unlock.
+// The engine intrinsics it emits are the ir::Intrinsic enumerators; each
+// one's name and properties are in kIntrinsics (src/ir/semantics.h).
 #ifndef POLYNIMA_LIFT_LIFTER_H_
 #define POLYNIMA_LIFT_LIFTER_H_
 

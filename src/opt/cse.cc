@@ -5,6 +5,7 @@
 #include <map>
 #include <tuple>
 
+#include "src/ir/semantics.h"
 #include "src/opt/passes.h"
 
 namespace polynima::opt {
@@ -16,26 +17,6 @@ using ir::Op;
 using ir::Value;
 
 namespace {
-
-bool IsPure(const Instruction& inst) {
-  switch (inst.op()) {
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kShl:
-    case Op::kLShr:
-    case Op::kAShr:
-    case Op::kICmp:
-    case Op::kSelect:
-    case Op::kSExt:
-      return true;
-    default:
-      return false;
-  }
-}
 
 struct Key {
   Op op;
@@ -50,19 +31,6 @@ struct Key {
   }
 };
 
-bool IsCommutative(Op op) {
-  switch (op) {
-    case Op::kAdd:
-    case Op::kMul:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 bool LocalCse(Function& f) {
@@ -71,7 +39,7 @@ bool LocalCse(Function& f) {
     std::map<Key, Instruction*> table;
     for (auto it = block->insts().begin(); it != block->insts().end();) {
       Instruction* inst = it->get();
-      if (!IsPure(*inst)) {
+      if (!ir::IsPure(inst->op())) {
         ++it;
         continue;
       }
@@ -87,7 +55,7 @@ bool LocalCse(Function& f) {
       if (inst->num_operands() > 2) {
         key.c = inst->operand(2);
       }
-      if (IsCommutative(inst->op()) && key.b < key.a) {
+      if (ir::IsCommutative(inst->op()) && key.b < key.a) {
         std::swap(key.a, key.b);
       }
       auto hit = table.find(key);

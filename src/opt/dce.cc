@@ -1,3 +1,4 @@
+#include "src/ir/semantics.h"
 #include "src/opt/passes.h"
 
 namespace polynima::opt {
@@ -11,42 +12,16 @@ namespace {
 // True if the instruction can be removed when its result is unused.
 bool IsRemovableWhenDead(const Instruction& inst) {
   switch (inst.op()) {
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kShl:
-    case Op::kLShr:
-    case Op::kAShr:
-    case Op::kICmp:
-    case Op::kSelect:
-    case Op::kSExt:
     case Op::kPhi:
     case Op::kGlobalLoad:
     case Op::kLoad:  // loads in lifted code never fault-for-effect: the
                      // address was computed by the original program
       return true;
-    case Op::kSDiv:
-    case Op::kSRem:
-    case Op::kUDiv:
-    case Op::kURem:
-      return false;  // may trap on zero divisor
     case Op::kCall:
-      if (inst.callee != nullptr) {
-        return false;
-      }
-      // Pure helper intrinsics.
-      return inst.intrinsic == "parity" || inst.intrinsic == "helper_paddd" ||
-             inst.intrinsic == "helper_psubd" ||
-             inst.intrinsic == "helper_pmulld" ||
-             inst.intrinsic == "helper_mulh" ||
-             inst.intrinsic == "simd_paddd" ||
-             inst.intrinsic == "simd_psubd" ||
-             inst.intrinsic == "simd_pmulld";
+      return inst.callee == nullptr && ir::InfoOf(inst.intrinsic).pure &&
+             !ir::InfoOf(inst.intrinsic).may_fault;
     default:
-      return false;
+      return ir::IsPure(inst.op());
   }
 }
 

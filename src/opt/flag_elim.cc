@@ -13,8 +13,9 @@
 #include <map>
 #include <set>
 
-#include "src/support/strings.h"
+#include "src/ir/semantics.h"
 #include "src/opt/passes.h"
+#include "src/support/strings.h"
 
 namespace polynima::opt {
 
@@ -56,7 +57,7 @@ bool DeadFlagElim(Function& f) {
           live.insert(inst->global);
         } else if (inst->op() == Op::kGlobalStore && is_flag(inst->global)) {
           live.erase(inst->global);
-        } else if (IsStateBoundary(*inst) || inst->op() == Op::kRet) {
+        } else if (ir::IsCallBoundary(*inst) || inst->op() == Op::kRet) {
           live.clear();
         }
       }
@@ -88,7 +89,7 @@ bool DeadFlagElim(Function& f) {
         }
         live.erase(inst->global);
         ++iit;
-      } else if (IsStateBoundary(*inst) || inst->op() == Op::kRet) {
+      } else if (ir::IsCallBoundary(*inst) || inst->op() == Op::kRet) {
         live.clear();
         ++iit;
       } else {
@@ -118,7 +119,7 @@ bool DeadFlagElim(Function& f) {
         pending[inst->global] = inst;
       } else if (inst->op() == Op::kGlobalLoad) {
         pending.erase(inst->global);
-      } else if (IsStateBoundary(*inst)) {
+      } else if (ir::IsCallBoundary(*inst)) {
         pending.clear();
       }
       ++it;

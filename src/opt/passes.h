@@ -35,14 +35,6 @@ std::map<ir::BasicBlock*, std::vector<ir::BasicBlock*>> Predecessors(
 // Reverse post-order over reachable blocks.
 std::vector<ir::BasicBlock*> ReversePostOrder(ir::Function& f);
 
-// True if executing `inst` may read or clobber guest memory beyond its
-// explicit operands (calls; atomics handled separately by the passes).
-bool IsMemoryBarrier(const ir::Instruction& inst);
-// True if `inst` transfers control out of the function's virtual-state
-// context (direct lifted calls and re-entrant intrinsics), requiring global
-// state to be flushed.
-bool IsStateBoundary(const ir::Instruction& inst);
-
 // --- passes (return true if anything changed) ---
 
 bool SimplifyCfg(ir::Function& f);

@@ -16,6 +16,7 @@
 #include <set>
 
 #include "src/ir/builder.h"
+#include "src/ir/semantics.h"
 #include "src/opt/passes.h"
 #include "src/support/strings.h"
 
@@ -236,21 +237,16 @@ class Promoter {
         ++it;
         continue;
       }
-      if (IsStateBoundary(*inst)) {
+      if (ir::IsCallBoundary(*inst)) {
         flush(it);
         stored_since_barrier.clear();
-        if (inst->op() == Op::kCall && inst->callee == nullptr &&
-            inst->intrinsic == "ext_call") {
+        if (ir::CallsIntrinsic(*inst, ir::Intrinsic::kExtCall)) {
           // External calls follow the SysV ABI: callee-saved registers and
           // the stack pointers survive; only caller-saved state is
           // clobbered (the external may run callbacks).
           for (auto def = cur.begin(); def != cur.end();) {
-            const std::string& name = def->first->name();
-            bool preserved = name == "vr_rsp" || name == "vr_rbp" ||
-                             name == "vr_rbx" || name == "vr_r12" ||
-                             name == "vr_r13" || name == "vr_r14" ||
-                             name == "vr_r15";
-            def = preserved ? std::next(def) : cur.erase(def);
+            def = ir::IsCalleeSavedGpr(def->first->name()) ? std::next(def)
+                                                           : cur.erase(def);
           }
         } else {
           cur.clear();

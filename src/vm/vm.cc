@@ -466,6 +466,12 @@ bool Vm::ExecuteInst(Thread& t, const Inst& inst) {
             (static_cast<int64_t>(MaskSize(rdx, 4)) << 32) |
             static_cast<int64_t>(MaskSize(rax, 4)));
       }
+      // -2^127 / -1 overflows __int128 itself, so it is tested before
+      // dividing; every other quotient is range-checked after.
+      if (size == 8 && divisor == -1 && rdx == uint64_t{1} << 63 && rax == 0) {
+        Fault("integer division overflow", inst.address);
+        return false;
+      }
       __int128 q = dividend / divisor;
       __int128 rem = dividend % divisor;
       bool overflow = size == 8

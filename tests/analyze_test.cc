@@ -112,7 +112,8 @@ TEST(Escape, StoredStackPointerEscapesTheFrame) {
 
 TEST(Escape, PrivateAllocationIsHeapLocal) {
   TestModule t;
-  Instruction* call = t.b.CallIntrinsic("ext_call", {t.b.Const(0)});
+  Instruction* call =
+      t.b.CallIntrinsic(ir::Intrinsic::kExtCall, {t.b.Const(0)});
   (void)call;
   Instruction* p = t.b.GLoad(t.rax);
   Instruction* init = t.b.Store(8, p, t.b.Const(7));
@@ -133,7 +134,7 @@ TEST(Escape, OffsetArithmeticKeepsHeapProvenance) {
   // so the base-plus-offset rule keeps the address PureHeap instead of
   // degrading the whole buffer to shared (DESIGN.md §4e).
   TestModule t;
-  t.b.CallIntrinsic("ext_call", {t.b.Const(0)});
+  t.b.CallIntrinsic(ir::Intrinsic::kExtCall, {t.b.Const(0)});
   Instruction* p = t.b.GLoad(t.rax);
   Instruction* index = t.b.Load(8, t.b.Sub(t.b.GLoad(t.rsp), t.b.Const(16)));
   Instruction* elem = t.b.Add(p, index);
@@ -146,7 +147,7 @@ TEST(Escape, OffsetArithmeticKeepsHeapProvenance) {
 
 TEST(Escape, StoredHeapPointerEscapesTheSite) {
   TestModule t;
-  t.b.CallIntrinsic("ext_call", {t.b.Const(0)});
+  t.b.CallIntrinsic(ir::Intrinsic::kExtCall, {t.b.Const(0)});
   Instruction* p = t.b.GLoad(t.rax);
   t.b.Store(8, t.b.Const(0x5000), p);  // publish the allocation
   Instruction* use = t.b.Load(8, p);
@@ -164,7 +165,7 @@ TEST(Escape, FrameEscapeSpillsStackSavedSites) {
   // frame itself escapes, at which point a foreign thread could read the
   // spill slot, so the allocation site must escape transitively.
   TestModule t;
-  t.b.CallIntrinsic("ext_call", {t.b.Const(0)});
+  t.b.CallIntrinsic(ir::Intrinsic::kExtCall, {t.b.Const(0)});
   Instruction* p = t.b.GLoad(t.rax);
   Instruction* sp = t.b.GLoad(t.rsp);
   Instruction* slot = t.b.Sub(sp, t.b.Const(8));
@@ -183,7 +184,7 @@ TEST(Escape, ReturnedAllocationEscapes) {
   // A pointer still live in vr_rax at a return is handed to the caller —
   // the allocation outlives the frame and must not be classified private.
   TestModule t;
-  t.b.CallIntrinsic("ext_call", {t.b.Const(0)});
+  t.b.CallIntrinsic(ir::Intrinsic::kExtCall, {t.b.Const(0)});
   Instruction* p = t.b.GLoad(t.rax);
   Instruction* use = t.b.Store(8, p, t.b.Const(7));
   t.b.Ret();  // vr_rax still derives from the allocation
@@ -203,7 +204,7 @@ TEST(Escape, CallArgumentIsConservativeBoundary) {
     cb.SetInsertBlock(callee->AddBlock("entry"));
     cb.Ret();
   }
-  t.b.CallIntrinsic("ext_call", {t.b.Const(0)});
+  t.b.CallIntrinsic(ir::Intrinsic::kExtCall, {t.b.Const(0)});
   Instruction* p = t.b.GLoad(t.rax);
   t.b.GStore(t.rdi, p);
   t.b.Call(callee, {});
@@ -247,7 +248,7 @@ TEST(Escape, PhiMixingStackAndHeapDegradesToShared) {
   BasicBlock* left = t.f->AddBlock("left");
   BasicBlock* right = t.f->AddBlock("right");
   BasicBlock* join = t.f->AddBlock("join");
-  t.b.CallIntrinsic("ext_call", {t.b.Const(0)});
+  t.b.CallIntrinsic(ir::Intrinsic::kExtCall, {t.b.Const(0)});
   Instruction* heap = t.b.GLoad(t.rax);
   Instruction* stack = t.b.Sub(t.b.GLoad(t.rsp), t.b.Const(8));
   t.b.CondBr(t.b.Const(1), left, right);
@@ -270,7 +271,7 @@ TEST(Escape, AtomicOperandEscapes) {
   // Atomicity is a sharing intent: an allocation used atomically is not
   // thread-private no matter what the dataflow proves.
   TestModule t;
-  t.b.CallIntrinsic("ext_call", {t.b.Const(0)});
+  t.b.CallIntrinsic(ir::Intrinsic::kExtCall, {t.b.Const(0)});
   Instruction* p = t.b.GLoad(t.rax);
   Instruction* rmw = t.b.AtomicRmw(ir::RmwOp::kAdd, 8, p, t.b.Const(1));
   t.b.Ret();
@@ -297,7 +298,7 @@ TEST(Escape, SpilledThenReloadedPointerEscapesAtCall) {
     cb.SetInsertBlock(callee->AddBlock("entry"));
     cb.Ret();
   }
-  t.b.CallIntrinsic("ext_call", {t.b.Const(0)});
+  t.b.CallIntrinsic(ir::Intrinsic::kExtCall, {t.b.Const(0)});
   Instruction* p = t.b.GLoad(t.rax);
   Instruction* slot = t.b.Sub(t.b.GLoad(t.rsp), t.b.Const(8));
   t.b.Store(8, slot, p);                  // spill: not yet an escape
@@ -319,7 +320,7 @@ TEST(Escape, SpilledAndReloadedLocallyStaysPrivate) {
   // an escape sink must not cost the site its privacy — otherwise every
   // register-pressure spill would defeat heap-local classification.
   TestModule t;
-  t.b.CallIntrinsic("ext_call", {t.b.Const(0)});
+  t.b.CallIntrinsic(ir::Intrinsic::kExtCall, {t.b.Const(0)});
   Instruction* p = t.b.GLoad(t.rax);
   Instruction* slot = t.b.Sub(t.b.GLoad(t.rsp), t.b.Const(8));
   t.b.Store(8, slot, p);
@@ -345,9 +346,9 @@ TEST(Escape, ReloadFromHeapObjectCarriesHeldSites) {
     cb.SetInsertBlock(callee->AddBlock("entry"));
     cb.Ret();
   }
-  t.b.CallIntrinsic("ext_call", {t.b.Const(0)});
+  t.b.CallIntrinsic(ir::Intrinsic::kExtCall, {t.b.Const(0)});
   Instruction* p = t.b.GLoad(t.rax);
-  t.b.CallIntrinsic("ext_call", {t.b.Const(0)});
+  t.b.CallIntrinsic(ir::Intrinsic::kExtCall, {t.b.Const(0)});
   Instruction* q = t.b.GLoad(t.rax);
   t.b.Store(8, q, p);                     // p held by private q
   Instruction* reload = t.b.Load(8, q);
@@ -462,12 +463,15 @@ lift::LiftedProgram BuildLockProgram(bool clobber_between) {
     b.SetInsertBlock(worker->AddBlock("entry"));
     b.GStore(rdi, b.Const(0x9000));  // &mtx
     if (clobber_between) {
-      b.CallIntrinsic("ext_call", {b.Const(3)});  // print_i64: clobbers rdi
+      // print_i64: clobbers rdi
+      b.CallIntrinsic(ir::Intrinsic::kExtCall, {b.Const(3)});
     }
-    b.CallIntrinsic("ext_call", {b.Const(1)});  // pthread_mutex_lock
+    // pthread_mutex_lock
+    b.CallIntrinsic(ir::Intrinsic::kExtCall, {b.Const(1)});
     b.Store(8, b.Const(0x8000), b.Const(1));    // shared write
     b.GStore(rdi, b.Const(0x9000));
-    b.CallIntrinsic("ext_call", {b.Const(2)});  // pthread_mutex_unlock
+    // pthread_mutex_unlock
+    b.CallIntrinsic(ir::Intrinsic::kExtCall, {b.Const(2)});
     b.Ret();
   }
 
@@ -477,7 +481,7 @@ lift::LiftedProgram BuildLockProgram(bool clobber_between) {
     b.SetInsertBlock(main_fn->AddBlock("entry"));
     for (int i = 0; i < 2; ++i) {
       b.GStore(rdx, b.Const(0x2000));  // worker entry (arg 2)
-      b.CallIntrinsic("ext_call", {b.Const(0)});  // pthread_create
+      b.CallIntrinsic(ir::Intrinsic::kExtCall, {b.Const(0)});  // pthread_create
     }
     b.Ret();
   }

@@ -17,14 +17,18 @@
 //     uncovered CFG edge) at each tier proving the guard fires and behavior
 //     still matches the interpreter,
 //   - hand-built programs that apply every IR operation to edge operands,
-//     checked against instcombine's constant folds (src/ir/semantics.h).
+//     checked against instcombine's constant folds (src/ir/semantics.h), and
+//     every value-computing intrinsic, checked against a reference written
+//     out in this file.
 //
 // Tier 2 requires executable host mappings; on hosts where vm::CodeBuffer
 // is unsupported the engine silently caps at tier 1, so the tier-2-specific
 // telemetry assertions are skipped there (the identity assertions still
 // hold either way).
+#include <bit>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -50,6 +54,7 @@
 #include "src/support/strings.h"
 #include "src/support/testseed.h"
 #include "src/vm/code_buffer.h"
+#include "src/vm/vm.h"
 #include "src/x86/registers.h"
 #include "tests/sched_corpus.h"
 
@@ -829,10 +834,95 @@ bool Faults(ir::Op op, uint64_t a, uint64_t b) {
                             b == ~uint64_t{0}));
 }
 
+// The intrinsics that compute a value from their operands.
+constexpr ir::Intrinsic kValueIntrinsics[] = {
+    ir::Intrinsic::kParity,        ir::Intrinsic::kHelperPaddd,
+    ir::Intrinsic::kHelperPsubd,   ir::Intrinsic::kHelperPmulld,
+    ir::Intrinsic::kSimdPaddd,     ir::Intrinsic::kSimdPsubd,
+    ir::Intrinsic::kSimdPmulld,    ir::Intrinsic::kHelperMulh,
+    ir::Intrinsic::kHelperSdiv128, ir::Intrinsic::kHelperSrem128};
+
+int Arity(ir::Intrinsic intrinsic) {
+  switch (intrinsic) {
+    case ir::Intrinsic::kParity:
+      return 1;
+    case ir::Intrinsic::kHelperSdiv128:
+    case ir::Intrinsic::kHelperSrem128:
+      return 3;
+    default:
+      return 2;
+  }
+}
+
+// Two independent 32-bit lanes of `a` and `b`, combined by `f`.
+uint64_t Lanes(uint64_t a, uint64_t b,
+               const std::function<uint32_t(uint32_t, uint32_t)>& f) {
+  auto lane = [&](int shift) {
+    return uint64_t{f(static_cast<uint32_t>(a >> shift),
+                      static_cast<uint32_t>(b >> shift))}
+           << shift;
+  };
+  return lane(0) | lane(32);
+}
+
+// What `intrinsic` yields on operands (a, b, c), or nullopt where it must
+// fault; written out independently of the engine. sdiv128/srem128 divide
+// a:b by c by unsigned long division of the magnitudes.
+std::optional<uint64_t> IntrinsicValue(ir::Intrinsic intrinsic, uint64_t a,
+                                       uint64_t b, uint64_t c) {
+  switch (intrinsic) {
+    case ir::Intrinsic::kParity:
+      return std::popcount(a & 0xff) % 2 == 0 ? 1 : 0;
+    case ir::Intrinsic::kHelperPaddd:
+    case ir::Intrinsic::kSimdPaddd:
+      return Lanes(a, b, std::plus<uint32_t>());
+    case ir::Intrinsic::kHelperPsubd:
+    case ir::Intrinsic::kSimdPsubd:
+      return Lanes(a, b, std::minus<uint32_t>());
+    case ir::Intrinsic::kHelperPmulld:
+    case ir::Intrinsic::kSimdPmulld:
+      return Lanes(a, b, std::multiplies<uint32_t>());
+    case ir::Intrinsic::kHelperMulh: {
+      // The signed high half from the unsigned one.
+      const auto full = static_cast<unsigned __int128>(a) * b;
+      return static_cast<uint64_t>(full >> 64) -
+             (static_cast<int64_t>(a) < 0 ? b : 0) -
+             (static_cast<int64_t>(b) < 0 ? a : 0);
+    }
+    case ir::Intrinsic::kHelperSdiv128:
+    case ir::Intrinsic::kHelperSrem128: {
+      const bool negative_dividend = static_cast<int64_t>(a) < 0;
+      const bool negative_quotient =
+          negative_dividend != (static_cast<int64_t>(c) < 0);
+      unsigned __int128 n = (static_cast<unsigned __int128>(a) << 64) | b;
+      n = negative_dividend ? -n : n;
+      const uint64_t d = static_cast<int64_t>(c) < 0 ? -c : c;
+      if (d == 0) {
+        return std::nullopt;
+      }
+      const unsigned __int128 q = n / d;
+      // The quotient must fit in 64 bits: up to 2^63 when negative.
+      if (q > (negative_quotient ? uint64_t{1} << 63 : uint64_t{INT64_MAX})) {
+        return std::nullopt;
+      }
+      if (intrinsic == ir::Intrinsic::kHelperSdiv128) {
+        const auto quotient = static_cast<uint64_t>(q);
+        return negative_quotient ? -quotient : quotient;
+      }
+      const auto remainder = static_cast<uint64_t>(n % d);
+      return negative_dividend ? -remainder : remainder;
+    }
+    default:
+      ADD_FAILURE() << "no value: " << ir::InfoOf(intrinsic).name;
+      return std::nullopt;
+  }
+}
+
 struct SemCase {
-  enum Kind { kBinary, kICmp, kSExt, kRmw } kind;
-  int op;  // ir::Op, ir::Pred, sext width or index into kRmwOps
+  enum Kind { kBinary, kICmp, kSExt, kRmw, kIntrinsic } kind;
+  int op;  // ir::Op, ir::Pred, sext width, index into kRmwOps or Intrinsic
   uint64_t a, b;
+  uint64_t c = 0;  // an intrinsic's third operand
 };
 
 std::string Describe(const SemCase& c) {
@@ -851,6 +941,14 @@ std::string Describe(const SemCase& c) {
       what = StrCat("atomicrmw ", kRmwOps[c.op] == ir::RmwOp::kXchg
                                       ? "xchg"
                                       : ir::OpName(kRmwBinops[c.op]));
+      break;
+    case SemCase::kIntrinsic:
+      what = ir::InfoOf(static_cast<ir::Intrinsic>(c.op)).name;
+      if (Arity(static_cast<ir::Intrinsic>(c.op)) == 3) {
+        return StrCat(what, "(", static_cast<int64_t>(c.a), ", ",
+                      static_cast<int64_t>(c.b), ", ",
+                      static_cast<int64_t>(c.c), ")");
+      }
       break;
   }
   return StrCat(what, "(", static_cast<int64_t>(c.a), ", ",
@@ -882,6 +980,13 @@ std::vector<ir::Value*> EmitCase(ir::IRBuilder& b, const SemCase& c,
       ir::Value* old = b.AtomicRmw(kRmwOps[c.op], 8, cell, b.Const(c.b));
       return {old, b.Load(8, cell)};
     }
+    case SemCase::kIntrinsic: {
+      const auto intrinsic = static_cast<ir::Intrinsic>(c.op);
+      std::vector<ir::Value*> args = {b.Const(c.a), b.Const(c.b),
+                                      b.Const(c.c)};
+      args.resize(static_cast<size_t>(Arity(intrinsic)));
+      return {b.CallIntrinsic(intrinsic, args)};
+    }
   }
   return {};
 }
@@ -904,9 +1009,9 @@ Built SemanticsProgram(const std::vector<SemCase>& cases) {
   for (const SemCase& c : cases) {
     for (ir::Value* v : EmitCase(b, c, /*for_folder=*/false)) {
       b.GStore(rdi, v);
-      b.CallIntrinsic("ext_call", {b.Const(0)});
+      b.CallIntrinsic(ir::Intrinsic::kExtCall, {b.Const(0)});
       b.GStore(rdi, b.Const(' '));
-      b.CallIntrinsic("ext_call", {b.Const(1)});
+      b.CallIntrinsic(ir::Intrinsic::kExtCall, {b.Const(1)});
     }
   }
   b.GStore(m.GetGlobal("vr_rax"), b.Const(0));
@@ -1040,6 +1145,92 @@ TEST(ExecSemantics, FaultingPairsFaultAlikeAndStayUnfolded) {
   }
   // 4 divides by 8 zero divisors, plus sdiv and srem of INT64_MIN by -1.
   EXPECT_EQ(faulting, 34);
+}
+
+// Every value-computing intrinsic on edge operands (all triples for the
+// 128-bit divides): the non-faulting cases in one program whose printed
+// values must match IntrinsicValue at every tier, and each faulting case in a
+// program of its own that must fault alike at every tier.
+TEST(ExecSemantics, IntrinsicsMatchTheReferenceOnEdgeOperands) {
+  std::vector<SemCase> cases;
+  std::vector<SemCase> faulting;
+  for (ir::Intrinsic intrinsic : kValueIntrinsics) {
+    for (uint64_t a : kEdgeOperands) {
+      for (uint64_t b : kEdgeOperands) {
+        for (uint64_t c : kEdgeOperands) {
+          if (Arity(intrinsic) < 3 && c != kEdgeOperands[0]) {
+            break;  // one pass, c unused
+          }
+          SemCase one = {SemCase::kIntrinsic, static_cast<int>(intrinsic), a,
+                         b, c};
+          (IntrinsicValue(intrinsic, a, b, c) ? cases : faulting)
+              .push_back(one);
+        }
+      }
+    }
+  }
+  const std::vector<ExecResult> runs =
+      RunAllTiers(SemanticsProgram(cases), "intrinsics program");
+  ASSERT_TRUE(runs[0].ok) << runs[0].fault_message;
+  std::istringstream in(runs[0].output);
+  size_t mismatches = 0;
+  for (const SemCase& c : cases) {
+    std::string printed;
+    in >> printed;
+    const int64_t expected = static_cast<int64_t>(
+        *IntrinsicValue(static_cast<ir::Intrinsic>(c.op), c.a, c.b, c.c));
+    if (printed != std::to_string(expected) && ++mismatches <= 5) {
+      ADD_FAILURE() << Describe(c) << ": executed " << printed
+                    << ", expected " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  for (const SemCase& c : faulting) {
+    const std::string what = Describe(c);
+    ExecResult t0 = RunAllTiers(SemanticsProgram({c}), what)[0];
+    EXPECT_FALSE(t0.ok) << what;
+    EXPECT_EQ(t0.fault_message, c.c == 0 ? ir::kDivByZeroMessage
+                                         : ir::kDivOverflowMessage)
+        << what;
+  }
+  // Per 128-bit divide: 64 zero divisors and 264 overflowing quotients.
+  EXPECT_EQ(faulting.size(), 2u * (64 + 264));
+}
+
+// x86 idiv faults when the quotient overflows, so INT64_MIN / -1 and
+// INT64_MIN % -1 fault in the VM. The lifted helpers must fault too, at
+// every tier and opt level.
+TEST(ExecSemantics, Int64MinByMinusOneFaultsLikeTheVm) {
+  for (const char* op : {"/", "%"}) {
+    const std::string source = StrCat(R"(
+      extern void print_i64(long v);
+      long divide(long a, long b) { return a )",
+                                      op, R"( b; }
+      int main() {
+        long min = 1;
+        min = min << 63;
+        print_i64(divide(min, -1));
+        return 0;
+      }
+    )");
+    for (int opt : {0, 2}) {
+      const std::string what = StrCat("INT64_MIN ", op, " -1 at -O", opt);
+      Built built = Build(source, opt);
+      vm::ExternalLibrary library;
+      vm::RunResult original = vm::Vm(built.image, &library, {}).Run();
+      EXPECT_FALSE(original.ok) << what;
+      EXPECT_EQ(original.fault_message, "integer division overflow") << what;
+      std::vector<ExecResult> runs;
+      for (int tier = 0; tier <= 2; ++tier) {
+        runs.push_back(RunBuilt(built, Tiered(tier)));
+        EXPECT_FALSE(runs[tier].ok) << what << " at tier " << tier;
+        EXPECT_EQ(runs[tier].fault_message, ir::kDivOverflowMessage)
+            << what << " at tier " << tier;
+        ExpectSameRun(runs[0], runs[tier], StrCat(what, " at tier ", tier));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -230,7 +230,7 @@ TEST(CfgCert, RecompilerRejectsStaleCertFromOtherBinary) {
 
 struct RunSnapshot {
   std::string output;
-  int exit_code = 0;
+  int64_t exit_code = 0;
   uint64_t steps = 0;
   uint64_t state_digest = 0;
 };

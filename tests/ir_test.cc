@@ -1,10 +1,14 @@
 // Unit tests for the IR core: use lists, replaceAllUsesWith, block/function
 // surgery, the verifier's error detection, and printing.
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "src/ir/builder.h"
 #include "src/ir/printer.h"
+#include "src/ir/semantics.h"
 #include "src/ir/verifier.h"
+#include "src/support/strings.h"
 
 namespace polynima::ir {
 namespace {
@@ -159,6 +163,44 @@ TEST(IrPrinter, StableFormatting) {
   EXPECT_NE(text.find("icmp slt %1, 100"), std::string::npos);
   EXPECT_NE(text.find("gstore @vr_rax %1"), std::string::npos);
   EXPECT_NE(text.find("ret %3"), std::string::npos);
+}
+
+// kIntrinsics is indexed by enumerator, so each row must sit at its own
+// enumerator's position; printed IR shows the row's name.
+TEST(IrPrinter, IntrinsicNamesFollowTheEnumerators) {
+  const std::pair<Intrinsic, const char*> expected[] = {
+      {Intrinsic::kExtCall, "ext_call"},
+      {Intrinsic::kCfmiss, "cfmiss"},
+      {Intrinsic::kTrap, "trap"},
+      {Intrinsic::kParity, "parity"},
+      {Intrinsic::kPause, "pause"},
+      {Intrinsic::kHelperPaddd, "helper_paddd"},
+      {Intrinsic::kHelperPsubd, "helper_psubd"},
+      {Intrinsic::kHelperPmulld, "helper_pmulld"},
+      {Intrinsic::kSimdPaddd, "simd_paddd"},
+      {Intrinsic::kSimdPsubd, "simd_psubd"},
+      {Intrinsic::kSimdPmulld, "simd_pmulld"},
+      {Intrinsic::kHelperMulh, "helper_mulh"},
+      {Intrinsic::kHelperSdiv128, "helper_sdiv128"},
+      {Intrinsic::kHelperSrem128, "helper_srem128"},
+      {Intrinsic::kGlobalLock, "global_lock"},
+      {Intrinsic::kGlobalUnlock, "global_unlock"},
+  };
+  ASSERT_EQ(std::size(expected), std::size(kIntrinsics));
+  Module m;
+  Function* f = m.AddFunction("calls", 0, false);
+  IRBuilder b(&m);
+  b.SetInsertBlock(f->AddBlock("entry"));
+  for (const auto& [intrinsic, name] : expected) {
+    EXPECT_STREQ(InfoOf(intrinsic).name, name);
+    b.CallIntrinsic(intrinsic, {b.Const(7)});
+  }
+  b.Ret();
+  std::string text = Print(*f);
+  for (const auto& [intrinsic, name] : expected) {
+    EXPECT_NE(text.find(StrCat("call !", name, " 7")), std::string::npos)
+        << name;
+  }
 }
 
 TEST(IrCore, RenumberSkipsVoidInstructions) {

@@ -1,10 +1,13 @@
 // Unit tests for individual optimizer passes on hand-built IR: local CSE,
 // instcombine identities and flag fusion, MemOpt's barrier semantics, and
 // dead-flag elimination — the micro-behaviours the end-to-end tests rely on.
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "src/ir/builder.h"
 #include "src/ir/printer.h"
+#include "src/ir/semantics.h"
 #include "src/ir/verifier.h"
 #include "src/opt/passes.h"
 
@@ -57,6 +60,39 @@ TEST(LocalCsePass, UnifiesDuplicatePureOps) {
   EXPECT_TRUE(LocalCse(*f));
   EXPECT_EQ(CountOp(*f, Op::kAnd), 1u);
   EXPECT_TRUE(ir::Verify(*f).ok());
+}
+
+TEST(DeadCodeElimPass, DropsExactlyThePureNonFaultingIntrinsics) {
+  using ir::Intrinsic;
+  // Written out here rather than read from the intrinsic table: the calls
+  // whose value is their only effect and which cannot fault.
+  const std::set<Intrinsic> removable = {
+      Intrinsic::kParity,      Intrinsic::kHelperPaddd, Intrinsic::kHelperPsubd,
+      Intrinsic::kHelperPmulld, Intrinsic::kSimdPaddd,  Intrinsic::kSimdPsubd,
+      Intrinsic::kSimdPmulld,  Intrinsic::kHelperMulh};
+  Module m;
+  Function* f = m.AddFunction("f", 0, false);
+  IRBuilder b(&m);
+  b.SetInsertBlock(f->AddBlock("entry"));
+  for (size_t i = 0; i < std::size(ir::kIntrinsics); ++i) {
+    b.CallIntrinsic(static_cast<Intrinsic>(i),
+                    {b.Const(1), b.Const(2), b.Const(3)});
+  }
+  b.Ret();
+
+  EXPECT_TRUE(DeadCodeElim(*f));
+  std::set<Intrinsic> kept;
+  for (const auto& inst : f->entry()->insts()) {
+    if (inst->op() == Op::kCall) {
+      kept.insert(inst->intrinsic);
+    }
+  }
+  for (size_t i = 0; i < std::size(ir::kIntrinsics); ++i) {
+    const auto intrinsic = static_cast<Intrinsic>(i);
+    EXPECT_NE(kept.count(intrinsic), removable.count(intrinsic))
+        << ir::kIntrinsics[i].name;
+  }
+  EXPECT_EQ(kept.size(), std::size(ir::kIntrinsics) - removable.size());
 }
 
 TEST(InstCombinePass, SameOperandIdentities) {

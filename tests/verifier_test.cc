@@ -262,7 +262,7 @@ TEST(VerifierWitness, AcceptsHeapLocalWitnessAfterCall) {
   BasicBlock* bb = f->AddBlock("entry");
   IRBuilder b(&m);
   b.SetInsertBlock(bb);
-  b.CallIntrinsic("ext_call", {b.Const(0)});
+  b.CallIntrinsic(ir::Intrinsic::kExtCall, {b.Const(0)});
   Instruction* p = b.GLoad(rax);
   Instruction* st = b.Store(8, p, b.Const(1));
   st->fence_witness = FenceWitness::kHeapLocal;
@@ -278,7 +278,7 @@ TEST(VerifierWitness, AcceptsHeapLocalWitnessInDominatedBlock) {
   BasicBlock* body = f->AddBlock("body");
   IRBuilder b(&m);
   b.SetInsertBlock(entry);
-  b.CallIntrinsic("ext_call", {b.Const(0)});
+  b.CallIntrinsic(ir::Intrinsic::kExtCall, {b.Const(0)});
   Instruction* p = b.GLoad(rax);
   b.Br(body);
   b.SetInsertBlock(body);

@@ -167,6 +167,25 @@ TEST(VmTest, DivideByZeroFaults) {
   EXPECT_NE(r.fault_message.find("divide"), std::string::npos);
 }
 
+// rdx:rax = -2^127 divided by -1: the one quotient that overflows even in
+// 128 bits. It must fault like every other overflowing idiv, with no
+// undefined behaviour in the VM (the asan-ubsan preset checks that).
+TEST(VmTest, Int128MinDividedByMinusOneFaults) {
+  ImageBuilder b("div_ovf");
+  auto& a = b.code();
+  b.SetEntry(a.CurrentAddress());
+  a.Emit(I2(Mnemonic::kMov, 8, Operand::R(Reg::kRdx), Operand::I(INT64_MIN)));
+  a.Emit(I2(Mnemonic::kXor, 4, Operand::R(Reg::kRax), Operand::R(Reg::kRax)));
+  a.Emit(I2(Mnemonic::kMov, 8, Operand::R(Reg::kRcx), Operand::I(-1)));
+  a.Emit(I1(Mnemonic::kIdiv, 8, Operand::R(Reg::kRcx)));
+  a.Emit(I0(Mnemonic::kRet));
+  RunResult r = RunImage(b.Build());
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.fault_message.find("integer division overflow"),
+            std::string::npos)
+      << r.fault_message;
+}
+
 TEST(VmTest, WildMemoryAccessFaults) {
   ImageBuilder b("wild");
   auto& a = b.code();
